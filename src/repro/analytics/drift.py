@@ -100,6 +100,14 @@ def detect_drift(
     if len(windows) < 2:
         return []
     clusters = cluster_ledger(records, threshold=threshold)
+    return _window_drifts(windows, clusters, min_delta)
+
+
+def _window_drifts(
+    windows: list[Window], clusters: list[Cluster], min_delta: float
+) -> list[ClusterDrift]:
+    """The drift flags of already-computed windows and global clusters,
+    so one analysis partitions and clusters the ledger once."""
     drifts: list[ClusterDrift] = []
     for index in range(1, len(windows)):
         before, after = windows[index - 1], windows[index]
@@ -157,21 +165,16 @@ def analyze_ledger(
     min_delta: float = DEFAULT_MIN_DELTA,
 ) -> AnalyticsReport:
     """One-stop analysis: windows, global clusters, drift, evolution."""
+    if not 0.0 < min_delta <= 1.0:
+        raise ValueError(f"min_delta must be in (0, 1], got {min_delta}")
     windows = partition_ledger(
         records, by=by, window_seconds=window_seconds
     )
+    clusters = cluster_ledger(records, threshold=threshold)
     return AnalyticsReport(
         by=by,
         windows=tuple(windows),
-        clusters=tuple(cluster_ledger(records, threshold=threshold)),
-        drifts=tuple(
-            detect_drift(
-                records,
-                by=by,
-                window_seconds=window_seconds,
-                threshold=threshold,
-                min_delta=min_delta,
-            )
-        ),
+        clusters=tuple(clusters),
+        drifts=tuple(_window_drifts(windows, clusters, min_delta)),
         evolution=tuple(cluster_evolution(windows, threshold=threshold)),
     )

@@ -1262,27 +1262,25 @@ def _cmd_status(args: argparse.Namespace) -> int:
             server.stop()
         return 0
 
-    clusters = cluster_ledger(records, threshold=threshold)
     metrics_snapshot = {
         registry.system: registry.snapshot()
         for registry in _status_registries()
     }
 
     if args.json:
+        from repro.analytics import analyze_ledger
+
+        analytics = analyze_ledger(records, threshold=threshold)
         payload = {
             "schema_version": LEDGER_SCHEMA_VERSION,
             "ledger": args.ledger,
             "total_runs": len(records),
             "threshold": threshold,
             "runs": records,
-            "clusters": [cluster.to_json() for cluster in clusters],
+            "clusters": [cluster.to_json() for cluster in analytics.clusters],
             "metrics": metrics_snapshot,
+            "analytics": analytics.to_json(),
         }
-        from repro.analytics import analyze_ledger
-
-        payload["analytics"] = analyze_ledger(
-            records, threshold=threshold
-        ).to_json()
         if args.checkpoint is not None:
             payload["campaign"] = campaign_snapshot(args.checkpoint)
         print(json.dumps(payload, indent=1, sort_keys=True))
@@ -1350,6 +1348,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             )
         )
     print()
+    clusters = cluster_ledger(records, threshold=threshold)
     if not clusters:
         print(
             f"co-occurrence clusters (Jaccard >= {threshold:g}): none — "
@@ -1376,10 +1375,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
                 print(f"      {member}")
             if len(cluster.members) > 5:
                 print(f"      ... {len(cluster.members) - 5} more")
-    from repro.analytics import commit_windows, detect_drift
+    from repro.analytics import DEFAULT_MIN_DELTA, commit_windows
+    from repro.analytics.drift import _window_drifts
 
-    if len(commit_windows(records)) >= 2:
-        drifts = detect_drift(records, threshold=threshold)
+    windows = commit_windows(records)
+    if len(windows) >= 2:
+        drifts = _window_drifts(windows, clusters, DEFAULT_MIN_DELTA)
         print()
         if not drifts:
             print("commit drift: none — cluster rates stable across commits")

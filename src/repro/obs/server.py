@@ -257,8 +257,14 @@ class ObsServer:
         self._server.serve_forever()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop the background serve loop, if any, and close the socket.
+
+        ``shutdown()`` waits for a running ``serve_forever`` loop to
+        notice, so it is only called when :meth:`start` launched one;
+        otherwise it would block forever.
+        """
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()

@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
+    Cluster,
     canonical_record,
     cluster_ledger,
     item_seam,
     jaccard,
     record_items,
 )
+from repro.obs.cluster import canonical_order
 
 
 def _record(ts, fingerprints=(), mis_handled=(), kind="crosstest"):
@@ -164,3 +168,110 @@ class TestOrderIndependence:
             shuffled = list(records)
             rng.shuffle(shuffled)
             assert cluster_ledger(shuffled) == baseline
+
+
+def _all_pairs_reference(records, threshold):
+    """Single linkage over every item pair with ``set`` Jaccard — the
+    straightforward algorithm ``cluster_ledger`` must reproduce."""
+    ordered = canonical_order(records)
+    item_runs = {}
+    for index, record in enumerate(ordered):
+        for item in record_items(record):
+            item_runs.setdefault(item, set()).add(index)
+    items = sorted(item_runs)
+    parent = {item: item for item in items}
+
+    def find(item):
+        while parent[item] != item:
+            item = parent[item]
+        return item
+
+    for position, left in enumerate(items):
+        for right in items[position + 1 :]:
+            if jaccard(item_runs[left], item_runs[right]) >= threshold:
+                parent[find(right)] = find(left)
+    groups = {}
+    for item in items:
+        groups.setdefault(find(item), []).append(item)
+    timestamps = [record.get("ts", 0.0) for record in ordered]
+    clusters = []
+    for members in groups.values():
+        runs = sorted(set().union(*(item_runs[m] for m in members)))
+        clusters.append(
+            Cluster(
+                members=tuple(sorted(members)),
+                runs=tuple(runs),
+                flake_rate=len(runs) / len(ordered),
+                first_seen=min(timestamps[index] for index in runs),
+                last_seen=max(timestamps[index] for index in runs),
+                seams=tuple(sorted({item_seam(m) for m in members})),
+            )
+        )
+    clusters.sort(key=lambda cluster: (-len(cluster.members), cluster.members))
+    return [cluster.to_json() for cluster in clusters]
+
+
+FAULT_SITES = (
+    "spark->metastore/alter_table",
+    "hive->hdfs/write",
+    "spark->hdfs/rename",
+)
+FAULT_MODES = ("wrong-results", "crash")
+
+_records = st.lists(
+    st.builds(
+        lambda ts, fingerprints, faults: _record(
+            ts,
+            fingerprints,
+            [
+                {"trial": "t", "mode": mode, "sites": [site]}
+                for site, mode in faults
+            ],
+        ),
+        st.sampled_from((1.0, 2.0, 3.0, 4.0)),
+        st.lists(st.sampled_from((FP_CAST, FP_TS, FP_E2E)), unique=True),
+        st.lists(
+            st.tuples(
+                st.sampled_from(FAULT_SITES), st.sampled_from(FAULT_MODES)
+            ),
+            max_size=3,
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestAllPairsReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=_records,
+        threshold=st.sampled_from(
+            (0.1, 0.25, 0.28, 0.3, 1 / 3, 0.5, 0.56, 2 / 3, 0.75, 1.0)
+        ),
+    )
+    def test_matches_all_pairs_reference(self, records, threshold):
+        clusters = cluster_ledger(records, threshold=threshold)
+        assert [cluster.to_json() for cluster in clusters] == (
+            _all_pairs_reference(records, threshold)
+        )
+
+    @pytest.mark.parametrize(
+        "shared, runs, threshold", [(3, 10, 0.3), (7, 25, 0.28)]
+    )
+    def test_jaccard_exactly_at_threshold_links(
+        self, shared, runs, threshold
+    ):
+        # CAST fails in every run, TS in `shared` of them: J is exactly
+        # the threshold. 7/25 >= 0.28 holds but 7 >= 0.28 * 25 does
+        # not, so the test must stay a quotient.
+        records = [
+            _record(float(index), [FP_CAST, FP_TS]) for index in range(shared)
+        ] + [
+            _record(float(index), [FP_CAST]) for index in range(shared, runs)
+        ]
+        assert jaccard(set(range(shared)), set(range(runs))) == threshold
+        (cluster,) = cluster_ledger(records, threshold=threshold)
+        assert cluster.members == (f"fp:{FP_CAST}", f"fp:{FP_TS}")
+        assert [cluster.to_json()] == _all_pairs_reference(
+            records, threshold
+        )

@@ -1,6 +1,8 @@
 """Tests for the stdlib HTTP status surface."""
 
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -181,3 +183,15 @@ class TestObsServer:
             assert clusters["clusters"] == []
         finally:
             server.stop()
+
+    def test_stop_without_start_returns(self):
+        # stop() from a thread, so a hang fails the test instead of
+        # blocking the suite
+        server = ObsServer()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        # the listening socket is closed, not left in the backlog
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=1)

@@ -191,6 +191,10 @@ class CampaignService:
             checkpoint = load_checkpoint(self.checkpoint_path)
             expected = self.config.signature()
             found = checkpoint.state.get("config")
+            if isinstance(found, dict):
+                # older checkpoints stamped the outcome-neutral lanes
+                # flag into the signature; it must not block a resume
+                found = {k: v for k, v in found.items() if k != "lanes"}
             if found != expected:
                 raise CheckpointError(
                     f"{self.checkpoint_path}: checkpoint belongs to a "

@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="share deployment lanes between same-type trials "
-        "(default: on; traced or fault-injected trials always run "
-        "isolated; the report is byte-identical either way)",
+        help="let same-type trials share one deployment lane "
+        "(default: on; --no-batch, tracing and fault injection run "
+        "every trial as a lane of width one; the report is "
+        "byte-identical either way)",
     )
     crosstest.add_argument(
         "--quiet",
@@ -226,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--no-lanes",
         action="store_true",
-        help="disable batched deployment lanes in the executor "
-        "(campaign rounds are traced for coverage and therefore run "
-        "isolated regardless; lanes only speed up the untraced "
+        help="run every executor lane at width one (campaign rounds "
+        "are traced for coverage and therefore run at width one "
+        "regardless; wider lanes only speed up the untraced "
         "shrinking phase)",
     )
     fuzz.add_argument(
@@ -338,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full", "smoke"],
         help="seed the mutation pool with the curated §8 corpus "
         "(parents only; corpus inputs are never executed)",
-    )
-    campaign.add_argument(
-        "--no-lanes",
-        action="store_true",
-        help="disable batched deployment lanes in the executor",
     )
     campaign.add_argument(
         "--json",
@@ -985,7 +981,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             use_corpus=args.corpus is not None,
             corpus=args.corpus or "full",
             shrink=False,
-            lanes=not args.no_lanes,
         )
     except ValueError as exc:
         print(f"bad campaign config: {exc}", file=sys.stderr)

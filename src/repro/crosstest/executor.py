@@ -6,6 +6,13 @@ for one ``(plan, fmt)`` cell — and executes them either inline
 (``jobs=1``, today's exact sequential semantics) or on a
 ``concurrent.futures`` pool (threads or processes, auto-sized).
 
+Within a shard there is one way to run trials: as *lanes*, groups of
+same-type inputs that share one table (:func:`~repro.crosstest.harness.
+run_lane_on`). An isolated trial is a lane of width one. ``batch``
+groups same-type inputs into wider lanes; tracing and fault injection
+pin every lane to width one. Wider lanes fall back to width one
+whenever their shared scan cannot attribute rows (see :func:`_run_lane`).
+
 Two invariants hold regardless of scheduling:
 
 * **Byte-identical results.** Shards are indexed in the same
@@ -43,7 +50,7 @@ from repro.crosstest.harness import (
     Outcome,
     Trial,
     run_lane_on,
-    run_trial_on,
+    run_trial_on,  # noqa: F401 - re-exported for callers of this module
 )
 from repro.crosstest.plans import Plan
 from repro.crosstest.values import TestInput
@@ -73,6 +80,7 @@ __all__ = [
     "resolve_pool",
     "execute",
     "run_trials",
+    "run_trial_on",
 ]
 
 #: Inputs per shard: small enough that 8 plans x 3 formats x 422 inputs
@@ -367,17 +375,16 @@ def prewarm_worker(
             except Exception:  # noqa: BLE001 - invalid corpus SQL is fine
                 pass
         pool = worker_pool(conf_overrides)
-        lanes: dict[str, list[TestInput]] = {}
-        for test_input in warm_inputs:
-            lanes.setdefault(test_input.type_text, []).append(test_input)
+        lanes = [
+            tuple(warm_inputs[position] for position in positions)
+            for positions in _lane_groups(
+                test_input.type_text for test_input in warm_inputs
+            )
+        ]
         for plan in plans:
             for fmt in formats:
-                for lane in lanes.values():
-                    deployment = pool.lease()
-                    try:
-                        run_lane_on(deployment, plan, fmt, tuple(lane))
-                    finally:
-                        pool.release(deployment)
+                for lane in lanes:
+                    _run_lane(pool, plan, fmt, lane, _new_counts(), None)
     except Exception:  # noqa: BLE001 - never take the worker down
         pass
 
@@ -391,6 +398,16 @@ def _plan_cache_counts(deployment: Deployment) -> tuple[int, int, int, int]:
         spark.invalidations + hive.invalidations,
         spark.evictions + hive.evictions,
     )
+
+
+#: the retry-policy counters of a fault-injected run, in
+#: :func:`_retry_counts` order
+_RETRY_COUNTERS = (
+    "boundary_attempts",
+    "boundary_faults",
+    "boundary_masked_calls",
+    "boundary_exhausted_calls",
+)
 
 
 def _retry_counts(deployment: Deployment) -> tuple[int, int, int, int]:
@@ -425,11 +442,8 @@ def _new_counts(injecting: bool = False) -> dict[str, int]:
             faults_io_error=0,
             faults_torn_write=0,
             faults_stale_read=0,
-            boundary_attempts=0,
-            boundary_faults=0,
-            boundary_masked_calls=0,
-            boundary_exhausted_calls=0,
         )
+        counts.update(dict.fromkeys(_RETRY_COUNTERS, 0))
     return counts
 
 
@@ -470,17 +484,18 @@ def _timed_release(
         stage_times.append(("reset", time.perf_counter() - started))
 
 
-def _lane_groups(inputs: tuple[TestInput, ...]) -> list[list[int]]:
-    """Group shard positions into same-type lanes, first-seen order.
+def _lane_groups(keys) -> list[list[int]]:
+    """Group positions by lane key, lanes in first-seen order.
 
-    Every input in a lane shares a ``type_text``, so one ``CREATE
-    TABLE`` serves the whole lane. Positions within a lane stay in
-    shard order; lanes need not be contiguous — demultiplexing is
-    positional.
+    Inputs that share a key run as one lane — callers key on
+    ``type_text`` (plus plan and format where those vary), so one
+    ``CREATE TABLE`` serves the whole lane. Positions within a lane
+    stay in order; lanes need not be contiguous — demultiplexing is
+    positional. Distinct keys (e.g. ``range(n)``) give width-one lanes.
     """
-    groups: dict[str, list[int]] = {}
-    for position, test_input in enumerate(inputs):
-        groups.setdefault(test_input.type_text, []).append(position)
+    groups: dict[object, list[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
     return list(groups.values())
 
 
@@ -492,30 +507,49 @@ def _run_lane(
     counts: dict[str, int],
     stage_times: list[tuple[str, float]] | None,
     multirow: bool = True,
+    scope: contextlib.AbstractContextManager = contextlib.nullcontext(),
 ) -> list[Outcome]:
     """One lane attempt plus the fallback ladder.
 
     Each attempt runs on a freshly leased deployment (a failed lane may
     leave the shared table in an unknown state; release resets it).
-    When :func:`run_lane_on` reports ambiguity, its *stage* picks the
-    fallback: a multi-row ``"write"`` failure retries the lane with
-    single-row statements (exact attribution, same shared table); a
+    Only a lane wider than one can report ambiguity; when
+    :func:`run_lane_on` does, its *stage* picks the fallback: a
+    multi-row ``"write"`` failure retries the lane with single-row
+    statements (exact attribution, same shared table); a
     ``"read"``/``"count"`` ambiguity means the shared scan itself is
     the problem — no smaller shared table can attribute it, and reads
-    fail deterministically per (plan, fmt, type), so every input goes
-    straight to the isolated per-trial path, whose outcome is
-    authoritative by definition. At most one retry, then isolation:
-    termination is structural, and a fully read-poisoned lane costs one
-    extra (create + write + read) over never having laned at all.
+    fail deterministically per (plan, fmt, type), so every input is
+    retried as a width-one lane, whose outcome is authoritative. At
+    most one retry, then width one: termination is structural, and a
+    fully read-poisoned lane costs one extra (create + write + read)
+    over never having laned at all.
+
+    ``scope`` is entered around the attempt's create/write/read only,
+    never around the lease or the reset: that is where a traced or
+    fault-injected trial's :class:`Tracer` and :class:`FaultInjector`
+    live (such trials are width one, so the scope is entered once).
+    Plan-cache deltas — and, in fault-injected runs, whose ``counts``
+    carry the ``boundary_*`` keys, retry-policy deltas — are read while
+    the deployment is leased, so they are race-free even when worker
+    threads share a pool.
     """
+    injecting = _RETRY_COUNTERS[0] in counts
     deployment = _lease_counted(pool, counts)
     before = _plan_cache_counts(deployment)
+    retry_before = _retry_counts(deployment) if injecting else None
     try:
-        outcomes = run_lane_on(
-            deployment, plan, fmt, inputs,
-            multirow=multirow, stage_times=stage_times,
-        )
+        with scope:
+            outcomes = run_lane_on(
+                deployment, plan, fmt, inputs,
+                multirow=multirow, stage_times=stage_times,
+            )
         _fold_cache_delta(counts, before, _plan_cache_counts(deployment))
+        if retry_before is not None:
+            for name, was, now in zip(
+                _RETRY_COUNTERS, retry_before, _retry_counts(deployment)
+            ):
+                counts[name] += now - was
     finally:
         _timed_release(pool, deployment, stage_times)
     if not isinstance(outcomes, str):
@@ -525,70 +559,43 @@ def _run_lane(
         return _run_lane(
             pool, plan, fmt, inputs, counts, stage_times, multirow=False
         )
-    resolved: list[Outcome] = []
-    for test_input in inputs:
-        deployment = _lease_counted(pool, counts)
-        before = _plan_cache_counts(deployment)
-        try:
-            trial = run_trial_on(
-                deployment, plan, fmt, test_input, stage_times=stage_times
-            )
-            _fold_cache_delta(counts, before, _plan_cache_counts(deployment))
-        finally:
-            _timed_release(pool, deployment, stage_times)
-        resolved.append(trial.outcome)
-    return resolved
-
-
-def _run_shard_lanes(
-    shard: Shard,
-    pool: DeploymentPool,
-) -> ShardResult:
-    """Execute one shard through batched lanes (tracing/faults off).
-
-    Per-trial durations are each lane's wall-clock split evenly across
-    its trials — the plan/format histograms keep covering every trial,
-    they just report amortized cost, which is the honest number under
-    batching.
-    """
-    counts = _new_counts()
-    stage_times: list[tuple[str, float]] = []
-    outcomes: list[Outcome | None] = [None] * len(shard.inputs)
-    durations: list[float] = [0.0] * len(shard.inputs)
-    for positions in _lane_groups(shard.inputs):
-        lane_inputs = tuple(shard.inputs[p] for p in positions)
-        started = time.perf_counter()
-        lane_outcomes = _run_lane(
-            pool, shard.plan, shard.fmt, lane_inputs, counts, stage_times
+    return [
+        outcome
+        for test_input in inputs
+        for outcome in _run_lane(
+            pool, plan, fmt, (test_input,), counts, stage_times
         )
-        share = (time.perf_counter() - started) / len(positions)
-        for offset, position in enumerate(positions):
-            outcomes[position] = lane_outcomes[offset]
-            durations[position] = share
-    trials = [
-        Trial(shard.plan, shard.fmt, test_input, outcomes[position])
-        for position, test_input in enumerate(shard.inputs)
     ]
-    return ShardResult.pack(
-        shard, trials, durations, counts, None, None, stage_times=stage_times
-    )
+
+
+@contextlib.contextmanager
+def _trial_scope(tracer: Tracer | None, injector: FaultInjector | None):
+    """Activate one trial's tracer and fault injector (either optional)."""
+    with contextlib.ExitStack() as stack:
+        if tracer is not None:
+            stack.enter_context(tracer)
+        if injector is not None:
+            stack.enter_context(injector)
+        yield
 
 
 def run_shard(
     shard: Shard,
     conf_overrides: dict[str, object] | None = None,
-    reuse_deployments: bool = True,
     tracing: bool = False,
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
     batch: bool = False,
 ) -> ShardResult:
-    """Execute one shard sequentially, timing each trial.
+    """Execute one shard sequentially, one lane after another.
 
-    With ``reuse_deployments`` (the default), deployments come from the
-    worker-global pool for these conf overrides. Cache-counter deltas
-    are read per trial, while the deployment is exclusively leased, so
-    they are race-free even when worker threads share a pool.
+    Deployments come from the worker-global pool for these conf
+    overrides. With ``batch``, same-type inputs share a lane (one
+    create, batched writes, one scan, with the fallback ladder of
+    :func:`_run_lane`); without it every input is a lane of width one
+    — an isolated trial. Per-trial durations are each lane's wall-clock
+    split evenly across its trials, so the plan/format histograms cover
+    every trial and report amortized cost under batching.
 
     With ``tracing``, each trial runs under its own
     :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``) and
@@ -602,88 +609,63 @@ def run_shard(
     ``(plan, seed, trial)`` — independent of worker count, scheduling,
     and everything the worker ran before.
 
-    With ``batch``, same-type trials share deployment lanes (one
-    create, batched writes, one scan — see :func:`_run_shard_lanes`),
-    with any in-lane ambiguity falling back to the isolated path.
-    Lanes engage only when tracing and fault injection are both off:
-    traced runs promise one span tree per trial with per-trial trace
-    ids, and fault schedules key on per-trial boundary visit counts —
-    batching would change both, so those runs keep the (correct,
-    slower) per-trial path and reports stay byte-identical either way.
+    Tracing and fault injection pin every lane to width one, whatever
+    ``batch`` says: traced runs promise one span tree per trial with
+    per-trial trace ids, and fault schedules key on per-trial boundary
+    visit counts — wider lanes would change both. Width is only a
+    parameter of the one lane loop, and reports are byte-identical at
+    any width.
     """
-    pool = worker_pool(conf_overrides) if reuse_deployments else None
+    pool = worker_pool(conf_overrides)
     injecting = fault_plan is not None and not fault_plan.empty
-    if batch and pool is not None and not tracing and not injecting:
-        return _run_shard_lanes(shard, pool)
-    trials: list[Trial] = []
-    durations: list[float] = []
+    per_trial = tracing or injecting
+    keys = (
+        range(len(shard.inputs))
+        if per_trial or not batch
+        else [test_input.type_text for test_input in shard.inputs]
+    )
+    counts = _new_counts(injecting)
     stage_times: list[tuple[str, float]] = []
+    outcomes: list[Outcome | None] = [None] * len(shard.inputs)
+    durations: list[float] = [0.0] * len(shard.inputs)
     traces: list[tuple[Span, ...]] | None = [] if tracing else None
     injections: list[tuple[InjectionRecord, ...]] | None = (
         [] if injecting else None
     )
-    counts = _new_counts(injecting)
-    for test_input in shard.inputs:
-        trial_key = f"{shard.plan.name}/{shard.fmt}/{test_input.input_id}"
-        tracer = Tracer(trace_id=trial_key) if tracing else None
-        injector = (
-            FaultInjector(fault_plan, fault_seed, trial_key)
-            if injecting and fault_plan is not None
-            else None
+    for positions in _lane_groups(keys):
+        lane_inputs = tuple(shard.inputs[position] for position in positions)
+        tracer: Tracer | None = None
+        injector: FaultInjector | None = None
+        scope: contextlib.AbstractContextManager = contextlib.nullcontext()
+        if per_trial:
+            trial_key = (
+                f"{shard.plan.name}/{shard.fmt}/{lane_inputs[0].input_id}"
+            )
+            if tracing:
+                tracer = Tracer(trace_id=trial_key)
+            if injecting and fault_plan is not None:
+                injector = FaultInjector(fault_plan, fault_seed, trial_key)
+            scope = _trial_scope(tracer, injector)
+        started = time.perf_counter()
+        lane_outcomes = _run_lane(
+            pool, shard.plan, shard.fmt, lane_inputs, counts, stage_times,
+            scope=scope,
         )
-
-        def run_one(deployment: Deployment) -> Trial:
-            with contextlib.ExitStack() as stack:
-                if tracer is not None:
-                    stack.enter_context(tracer)
-                if injector is not None:
-                    stack.enter_context(injector)
-                return run_trial_on(
-                    deployment,
-                    shard.plan,
-                    shard.fmt,
-                    test_input,
-                    stage_times=stage_times,
-                )
-
-        start = time.perf_counter()
-        if pool is not None:
-            deployment = _lease_counted(pool, counts)
-            before = _plan_cache_counts(deployment)
-            retry_before = _retry_counts(deployment)
-            try:
-                trial = run_one(deployment)
-                after = _plan_cache_counts(deployment)
-                retry_after = _retry_counts(deployment)
-            finally:
-                _timed_release(pool, deployment, stage_times)
-        else:
-            deployment = Deployment(dict(conf_overrides or {}))
-            counts["deployments_created"] += 1
-            before = (0, 0, 0, 0)
-            retry_before = (0, 0, 0, 0)
-            trial = run_one(deployment)
-            after = _plan_cache_counts(deployment)
-            retry_after = _retry_counts(deployment)
-        _fold_cache_delta(counts, before, after)
-        if injector is not None:
-            counts["boundary_attempts"] += retry_after[0] - retry_before[0]
-            counts["boundary_faults"] += retry_after[1] - retry_before[1]
-            counts["boundary_masked_calls"] += (
-                retry_after[2] - retry_before[2]
-            )
-            counts["boundary_exhausted_calls"] += (
-                retry_after[3] - retry_before[3]
-            )
-            counts["faults_injected"] += len(injector.records)
-            for record in injector.records:
-                counts[f"faults_{record.kind}"] += 1
-        durations.append(time.perf_counter() - start)
-        trials.append(trial)
+        share = (time.perf_counter() - started) / len(positions)
+        for position, outcome in zip(positions, lane_outcomes):
+            outcomes[position] = outcome
+            durations[position] = share
         if traces is not None and tracer is not None:
             traces.append(tuple(tracer.finished))
         if injections is not None and injector is not None:
             injections.append(tuple(injector.records))
+            counts["faults_injected"] += len(injector.records)
+            for record in injector.records:
+                counts[f"faults_{record.kind}"] += 1
+    trials = [
+        Trial(shard.plan, shard.fmt, test_input, outcomes[position])
+        for position, test_input in enumerate(shard.inputs)
+    ]
     return ShardResult.pack(
         shard,
         trials,
@@ -989,10 +971,11 @@ def execute(
     """Run the full matrix and return trials in sequential order.
 
     ``batch`` (the default) lets same-type trials within a shard share
-    deployment lanes — one create, batched writes, one scan — with
-    bisecting fallback to the isolated path on any in-lane ambiguity.
-    Automatically bypassed for traced or fault-injected runs (see
-    :func:`run_shard`); reports are byte-identical either way.
+    one deployment lane — one create, batched writes, one scan — with
+    fallback to width-one lanes on any in-lane ambiguity. Traced or
+    fault-injected runs, and ``batch=False``, run every trial as a lane
+    of width one (see :func:`run_shard`); reports are byte-identical
+    either way.
 
     ``progress``, if given, is called after every shard completes as
     ``progress(done_shards, total_shards, done_trials, total_trials)``.
@@ -1087,7 +1070,6 @@ def execute(
                     run_shard,
                     shard,
                     conf_overrides,
-                    True,
                     tracing,
                     fault_plan,
                     fault_seed,
@@ -1153,31 +1135,21 @@ def run_trials(
     plan caches, reset on release, never thrown away), and with
     ``batch`` the triples are grouped into (plan, fmt, type) lanes so a
     chaos run's baseline pass amortizes the per-trial round trip the
-    same way the main matrix does.
+    same way the main matrix does; without it every triple is a lane of
+    width one.
     """
     pool = worker_pool(conf_overrides)
     outcomes: list[Outcome | None] = [None] * len(specs)
     counts = _new_counts()
-    if not batch:
-        for position, (plan, fmt, test_input) in enumerate(specs):
-            deployment = _lease_counted(pool, counts)
-            try:
-                outcomes[position] = run_trial_on(
-                    deployment, plan, fmt, test_input
-                ).outcome
-            finally:
-                pool.release(deployment)
-        return outcomes  # type: ignore[return-value]
-    lanes: dict[tuple[Plan, str, str], list[int]] = {}
-    for position, (plan, fmt, test_input) in enumerate(specs):
-        lanes.setdefault((plan, fmt, test_input.type_text), []).append(
-            position
-        )
-    for (plan, fmt, _), positions in lanes.items():
+    keys = (
+        [(plan, fmt, test_input.type_text) for plan, fmt, test_input in specs]
+        if batch
+        else range(len(specs))
+    )
+    for positions in _lane_groups(keys):
+        plan, fmt, _ = specs[positions[0]]
         lane_inputs = tuple(specs[position][2] for position in positions)
-        lane_outcomes = _run_lane(
-            pool, plan, fmt, lane_inputs, counts, None
-        )
-        for offset, position in enumerate(positions):
-            outcomes[position] = lane_outcomes[offset]
+        lane_outcomes = _run_lane(pool, plan, fmt, lane_inputs, counts, None)
+        for position, outcome in zip(positions, lane_outcomes):
+            outcomes[position] = outcome
     return outcomes  # type: ignore[return-value]

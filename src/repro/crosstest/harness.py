@@ -7,6 +7,10 @@ interface, inserts the input, reads it back through the *reader*
 interface, and records the outcome. Oracles and classification operate
 on the recorded trials afterwards; nothing in the harness knows about
 the 15 expected discrepancies.
+
+One function drives that round trip, :func:`run_lane_on`: a *lane* is
+a group of same-type inputs sharing one table, and an isolated trial
+(:func:`run_trial_on`) is a lane of width one.
 """
 
 from __future__ import annotations
@@ -142,26 +146,6 @@ class Deployment:
         else:
             raise ValueError(f"unknown interface {interface!r}")
 
-    def write(
-        self, interface: str, table: str, test_input: TestInput, fmt: str
-    ) -> None:
-        if interface == Interface.DATAFRAME:
-            schema = Schema(
-                (Field("c", test_input.column_type),), case_sensitive=True
-            )
-            frame = self.spark.create_dataframe(
-                [(test_input.py_value,)], schema
-            )
-            frame.write.format(fmt).save_as_table(table)
-            return
-        dml = f"INSERT INTO {table} VALUES ({test_input.sql_literal})"
-        if interface == Interface.SPARKSQL:
-            self.spark.sql(dml)
-        elif interface == Interface.HIVEQL:
-            self.hive.execute(dml)
-        else:
-            raise ValueError(f"unknown interface {interface!r}")
-
     def write_rows(
         self,
         interface: str,
@@ -169,12 +153,12 @@ class Deployment:
         batch: tuple[TestInput, ...],
         fmt: str,
     ) -> None:
-        """Write several same-type inputs through one statement.
+        """Write one or more same-type inputs through one statement.
 
-        The batched counterpart of :meth:`write`: one multi-row
-        ``INSERT INTO .. VALUES (a), (b), ..`` for the SQL interfaces,
-        one multi-row frame for the DataFrame interface. Row order is
-        preserved — lane demultiplexing depends on it.
+        One ``INSERT INTO .. VALUES (a), (b), ..`` for the SQL
+        interfaces, one frame for the DataFrame interface — a single
+        input is the one-row case. Row order is preserved — lane
+        demultiplexing depends on it.
         """
         if interface == Interface.DATAFRAME:
             schema = Schema(
@@ -245,9 +229,9 @@ class CrossTester:
         ``{trial index: finished spans}``. ``fault_plan``/``fault_seed``
         switch deterministic fault injection on, with fired injections
         reported through ``injection_sink`` the same way. ``batch``
-        allows same-type trials to share deployment lanes (automatically
-        bypassed while tracing or injecting faults — see
-        :func:`repro.crosstest.executor.run_shard`).
+        lets same-type trials share one deployment lane; without it —
+        and always while tracing or injecting faults — every trial is a
+        lane of width one (see :func:`repro.crosstest.executor.run_shard`).
         """
         from repro.crosstest.executor import execute
 
@@ -293,64 +277,15 @@ def run_trial_on(
 ) -> Trial:
     """Drive one trial against an already-provisioned deployment.
 
-    With a tracer active, the trial becomes a span tree: one root span,
-    one child per stage, and whatever boundary spans the engines emit
-    underneath (metastore registrations, SerDe encode/decode, warehouse
-    reads/writes). With tracing off (the default) the ``with`` blocks
-    are shared no-ops.
-
-    ``stage_times`` (when given) collects ``(stage, seconds)`` samples
-    for the per-stage latency histograms; a stage that raised still
-    records the time spent failing.
+    A trial is a lane of width one: :func:`run_lane_on` drives it, and
+    a width-one lane is authoritative — it always yields one
+    :class:`Outcome`, with the same span tree and ``stage_times``
+    samples described there.
     """
-    table = TRIAL_TABLE
-    clock = time.perf_counter
-    with trace_span(
-        "crosstest.trial", system="crosstest", operation="trial"
-    ) as root:
-        if root is not None:
-            root.attributes.update(
-                plan=plan.name,
-                writer=plan.writer,
-                reader=plan.reader,
-                fmt=fmt,
-                input_id=test_input.input_id,
-                type=test_input.type_text,
-            )
-        started = clock() if stage_times is not None else 0.0
-        try:
-            with trace_span(
-                "crosstest.create", system="crosstest", operation="create"
-            ):
-                deployment.create_table(plan.writer, table, test_input, fmt)
-        except Exception as exc:  # noqa: BLE001 - any failure is data
-            return Trial(plan, fmt, test_input, _error("create", exc))
-        finally:
-            if stage_times is not None:
-                stage_times.append(("create", clock() - started))
-        started = clock() if stage_times is not None else 0.0
-        try:
-            with trace_span(
-                "crosstest.write", system="crosstest", operation="write"
-            ):
-                deployment.write(plan.writer, table, test_input, fmt)
-        except Exception as exc:  # noqa: BLE001
-            return Trial(plan, fmt, test_input, _error("write", exc))
-        finally:
-            if stage_times is not None:
-                stage_times.append(("write", clock() - started))
-        started = clock() if stage_times is not None else 0.0
-        try:
-            with trace_span(
-                "crosstest.read", system="crosstest", operation="read"
-            ):
-                result = deployment.read(plan.reader, table)
-        except Exception as exc:  # noqa: BLE001
-            return Trial(plan, fmt, test_input, _error("read", exc))
-        finally:
-            if stage_times is not None:
-                stage_times.append(("read", clock() - started))
-        return Trial(plan, fmt, test_input, _ok(result))
+    (outcome,) = run_lane_on(
+        deployment, plan, fmt, (test_input,), stage_times=stage_times
+    )
+    return Trial(plan, fmt, test_input, outcome)
 
 
 def run_lane_on(
@@ -363,7 +298,7 @@ def run_lane_on(
 ) -> list[Outcome] | str:
     """Run a lane of same-type inputs through one shared table.
 
-    The batched counterpart of :func:`run_trial_on`: one ``CREATE
+    The harness's only create → write → read round trip: one ``CREATE
     TABLE`` (every input in the lane shares a ``type_text``, so the DDL
     is identical), all writes into the same table, one ``SELECT *``
     scan, then rows demultiplexed back into per-input :class:`Outcome`s
@@ -371,9 +306,13 @@ def run_lane_on(
     order and the scan reads them sorted, so the k-th surviving row is
     the k-th successful write.
 
-    Returns the *stage name* of the ambiguity (instead of outcomes)
-    whenever per-input attribution would be a guess rather than an
-    observation, so the caller can pick the right fallback:
+    A lane of width one *is* the isolated trial of §8.1, so its result
+    is authoritative: a failed scan is that input's ``read`` error, and
+    whatever rows the scan returns (none, one, or several) are its
+    observation. Wider lanes return the *stage name* of the ambiguity
+    (instead of outcomes) whenever per-input attribution would be a
+    guess rather than an observation, so the caller can pick the right
+    fallback:
 
     - ``"write"`` — a *multi-row* statement raised; which row poisoned
       it is unknowable from here, but single-row statements attribute
@@ -381,101 +320,129 @@ def run_lane_on(
     - ``"read"`` — the shared scan raised; an isolated read might
       succeed for some inputs and fail for others (e.g. one poison row
       breaking the scan), and no smaller shared table can settle that —
-      only the isolated path can,
+      only width-one lanes can,
     - ``"count"`` — the scan returned a row count that matches neither
       zero nor the number of successful writes (some rows silently
       dropped); which writes lost their row is likewise only
-      observable in isolation.
+      observable at width one.
 
     Resolvable observations are handled in-lane: a ``create`` failure
     is deterministic across the lane (same DDL, fresh deployment) and
     is replicated to every input; a *single-row* write failure is that
     input's write error; an empty scan over successful writes is the
-    row-dropping behaviour the isolated path records as ``NO_ROWS``.
+    row-dropping behaviour every input records as ``NO_ROWS``.
 
     ``multirow=True`` additionally merges every corpus-``valid`` input
     in the lane into one leading multi-row statement (see
     :func:`_write_batches` for why statement order is free); the flag
     is a grouping heuristic only — correctness never depends on it,
     since any multi-row failure falls back to single-row writes.
+
+    With a tracer active, the lane becomes a span tree: one
+    ``crosstest.trial`` root, one child per stage (one ``crosstest.write``
+    per write statement), and whatever boundary spans the engines emit
+    underneath (metastore registrations, SerDe encode/decode, warehouse
+    reads/writes). With tracing off (the default) the ``with`` blocks
+    are shared no-ops.
+
+    ``stage_times`` (when given) collects one ``(stage, seconds)``
+    sample per stage reached, for the per-stage latency histograms; a
+    stage that raised still records the time spent failing.
     """
     table = TRIAL_TABLE
     clock = time.perf_counter
     total = len(inputs)
-
-    started = clock()
-    try:
-        deployment.create_table(plan.writer, table, inputs[0], fmt)
-    except Exception as exc:  # noqa: BLE001 - any failure is data
-        if stage_times is not None:
-            stage_times.append(("create", clock() - started))
-        return [_error("create", exc)] * total
-    if stage_times is not None:
-        stage_times.append(("create", clock() - started))
-
-    outcomes: list[Outcome | None] = [None] * total
-    ok_positions: list[int] = []
-    started = clock()
-    optimistic = plan.writer != Interface.SPARKSQL
-    for positions in _write_batches(inputs, multirow, optimistic):
-        batch = tuple(inputs[position] for position in positions)
-        try:
-            if len(batch) == 1:
-                deployment.write(plan.writer, table, batch[0], fmt)
-            else:
-                deployment.write_rows(plan.writer, table, batch, fmt)
-        except Exception as exc:  # noqa: BLE001
-            if len(batch) > 1:
-                if stage_times is not None:
-                    stage_times.append(("write", clock() - started))
-                return "write"
-            outcomes[positions[0]] = _error("write", exc)
-        else:
-            ok_positions.extend(positions)
-    if stage_times is not None:
-        stage_times.append(("write", clock() - started))
-
-    if ok_positions:
+    with trace_span(
+        "crosstest.trial", system="crosstest", operation="trial"
+    ) as root:
+        if root is not None:
+            root.attributes.update(
+                plan=plan.name,
+                writer=plan.writer,
+                reader=plan.reader,
+                fmt=fmt,
+                input_id=(
+                    inputs[0].input_id
+                    if total == 1
+                    else [test_input.input_id for test_input in inputs]
+                ),
+                type=inputs[0].type_text,
+            )
         started = clock()
         try:
-            result = deployment.read(plan.reader, table)
-        except Exception:  # noqa: BLE001
+            with trace_span(
+                "crosstest.create", system="crosstest", operation="create"
+            ):
+                deployment.create_table(plan.writer, table, inputs[0], fmt)
+        except Exception as exc:  # noqa: BLE001 - any failure is data
+            return [_error("create", exc)] * total
+        finally:
+            if stage_times is not None:
+                stage_times.append(("create", clock() - started))
+
+        outcomes: list[Outcome | None] = [None] * total
+        ok_positions: list[int] = []
+        started = clock()
+        optimistic = plan.writer != Interface.SPARKSQL
+        try:
+            for positions in _write_batches(inputs, multirow, optimistic):
+                batch = tuple(inputs[position] for position in positions)
+                try:
+                    with trace_span(
+                        "crosstest.write",
+                        system="crosstest",
+                        operation="write",
+                    ):
+                        deployment.write_rows(plan.writer, table, batch, fmt)
+                except Exception as exc:  # noqa: BLE001
+                    if len(batch) > 1:
+                        return "write"
+                    outcomes[positions[0]] = _error("write", exc)
+                else:
+                    ok_positions.extend(positions)
+        finally:
+            if stage_times is not None:
+                stage_times.append(("write", clock() - started))
+        if not ok_positions:
+            return outcomes  # type: ignore[return-value]
+
+        started = clock()
+        try:
+            with trace_span(
+                "crosstest.read", system="crosstest", operation="read"
+            ):
+                result = deployment.read(plan.reader, table)
+        except Exception as exc:  # noqa: BLE001
+            return [_error("read", exc)] if total == 1 else "read"
+        finally:
             if stage_times is not None:
                 stage_times.append(("read", clock() - started))
-            return "read"
-        if stage_times is not None:
-            stage_times.append(("read", clock() - started))
-        rows = result.rows
-        if rows and len(rows) != len(ok_positions):
-            return "count"
-        if len(result.schema) > 0:
-            column = result.schema.fields[0]
-            value_type = column.data_type.simple_string()
-            name = column.name
-        else:
-            value_type = ""
-            name = ""
-        if not rows:
-            empty = Outcome(
-                status="ok",
-                value=NO_ROWS,
-                value_type=value_type,
-                column_name=name,
-                row_count=0,
-                warnings=result.warnings,
-            )
-            for position in ok_positions:
-                outcomes[position] = empty
-        else:
-            for row, position in zip(rows, ok_positions):
-                outcomes[position] = Outcome(
-                    status="ok",
-                    value=row[0],
-                    value_type=value_type,
-                    column_name=name,
-                    row_count=1,
-                    warnings=result.warnings,
-                )
+
+    rows = result.rows
+    if total == 1:
+        observed = [(rows[0][0] if rows else NO_ROWS, len(rows))]
+    elif not rows:
+        observed = [(NO_ROWS, 0)] * len(ok_positions)
+    elif len(rows) == len(ok_positions):
+        observed = [(row[0], 1) for row in rows]
+    else:
+        return "count"
+    if len(result.schema) > 0:
+        column = result.schema.fields[0]
+        value_type = column.data_type.simple_string()
+        name = column.name
+    else:
+        value_type = ""
+        name = ""
+    for position, (value, row_count) in zip(ok_positions, observed):
+        outcomes[position] = Outcome(
+            status="ok",
+            value=value,
+            value_type=value_type,
+            column_name=name,
+            row_count=row_count,
+            warnings=result.warnings,
+        )
     return outcomes  # type: ignore[return-value]
 
 
@@ -530,23 +497,4 @@ def _error(stage: str, exc: Exception) -> Outcome:
         stage=stage,
         error_type=type(exc).__name__,
         error_message=str(exc),
-    )
-
-
-def _ok(result: QueryResult) -> Outcome:
-    if len(result.schema) > 0:
-        column = result.schema.fields[0]
-        value_type = column.data_type.simple_string()
-        name = column.name
-    else:
-        value_type = ""
-        name = ""
-    value = result.rows[0][0] if result.rows else NO_ROWS
-    return Outcome(
-        status="ok",
-        value=value,
-        value_type=value_type,
-        column_name=name,
-        row_count=len(result.rows),
-        warnings=result.warnings,
     )

@@ -373,9 +373,10 @@ def run_crosstest(
     :class:`FaultReport` to the result. An empty or absent plan leaves
     the report byte-identical to a plain run.
 
-    ``batch`` (the default) lets same-type trials share deployment
-    lanes in the executor; traced or fault-injected trials always run
-    isolated, and the rendered report is byte-identical either way.
+    ``batch`` (the default) lets same-type trials share one deployment
+    lane in the executor; without it, and always for traced or
+    fault-injected trials, every lane has width one (an isolated
+    trial). The rendered report is byte-identical either way.
     """
     tester = CrossTester(
         inputs=inputs,

@@ -99,12 +99,13 @@ class FuzzConfig:
     corpus: str = "full"
     #: shrink novel findings after the budget is exhausted
     shrink: bool = True
-    #: allow batched deployment lanes in the executor. Campaign rounds
-    #: are always traced (coverage comes from spans) and therefore run
-    #: isolated regardless; lanes speed up the *untraced* executions —
-    #: today, the shrinker's reproduction runs. Kept as an escape hatch
-    #: (`--no-lanes`) rather than folded into ``batch``, which here
-    #: means candidates per round.
+    #: let the executor group same-type trials into lanes wider than
+    #: one (its ``batch`` flag; ``batch`` here means candidates per
+    #: round). Campaign rounds are always traced (coverage comes from
+    #: spans), and tracing pins every lane to width one, so this only
+    #: speeds up the *untraced* executions — the shrinker's and
+    #: triage's reproduction runs. Outcome-neutral, so not part of
+    #: :meth:`signature`; ``repro fuzz --no-lanes`` turns it off.
     lanes: bool = True
 
     def __post_init__(self) -> None:
@@ -121,8 +122,10 @@ class FuzzConfig:
         """The determinism-relevant subset of the config: two campaigns
         with equal signatures emit identical batches. ``jobs``/``pool``
         are runtime knobs (byte-identity across them is the executor's
-        guarantee), ``budget``/``shrink`` only bound the one-shot loop —
-        none of them belong in a checkpoint's compatibility check."""
+        guarantee), ``budget``/``shrink`` only bound the one-shot loop,
+        and ``lanes`` only changes lane width, which reports are
+        byte-identical across — none of them belong in a checkpoint's
+        compatibility check."""
         return {
             "seed": self.seed,
             "batch": self.batch,
@@ -130,7 +133,6 @@ class FuzzConfig:
             "formats": list(self.formats),
             "use_corpus": self.use_corpus,
             "corpus": self.corpus,
-            "lanes": self.lanes,
         }
 
 
@@ -425,7 +427,9 @@ class CampaignState:
         ``jobs``/``pool`` are runtime knobs supplied afresh by the
         caller — a campaign checkpointed at ``--jobs 2`` resumes
         byte-identically at ``--jobs 4``, which is exactly what the
-        determinism grid pins.
+        determinism grid pins. ``lanes`` is not part of the snapshot
+        and takes its default (a ``"lanes"`` key that older snapshots
+        carry is ignored).
         """
         sig = payload["config"]
         plans_by_name = {plan.name: plan for plan in ALL_PLANS}
@@ -444,7 +448,6 @@ class CampaignState:
             use_corpus=bool(sig["use_corpus"]),
             corpus=str(sig["corpus"]),
             shrink=shrink,
-            lanes=bool(sig["lanes"]),
         )
         corpus = _corpus_pool(config)
         state = cls(

@@ -11,6 +11,7 @@ protocol heals them.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -159,6 +160,43 @@ class TestHardKillRecovery:
         )
         with pytest.raises(CheckpointError, match="different campaign"):
             asyncio.run(service.run())
+
+    def test_lanes_setting_does_not_block_resume(
+        self, tmp_path, uninterrupted
+    ):
+        # lanes only set how wide executor lanes may be, which outcomes
+        # never depend on: a campaign checkpointed with lanes on must
+        # resume with them off, byte-identically
+        paths = _paths(tmp_path, "lanes")
+        _run(paths, max_batches=1)
+        service = CampaignService(
+            dataclasses.replace(_config(), lanes=False),
+            Baseline.empty(),
+            max_batches=TOTAL_BATCHES,
+            clock=FIXED_CLOCK,
+            **paths,
+        )
+        summary = asyncio.run(service.run())
+        assert summary.batches_total == TOTAL_BATCHES
+        assert _fingerprint_bytes(paths) == uninterrupted["fingerprints"]
+        assert _canonical_ledger(paths) == uninterrupted["ledger"]
+
+    def test_checkpoint_carrying_a_lanes_key_resumes(
+        self, tmp_path, uninterrupted
+    ):
+        # older checkpoints stamped "lanes" into the config signature
+        paths = _paths(tmp_path, "legacy")
+        _run(paths, max_batches=1)
+        with open(paths["checkpoint_path"], encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert "lanes" not in payload["state"]["config"]
+        payload["state"]["config"]["lanes"] = True
+        with open(paths["checkpoint_path"], "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        summary = _run(paths, max_batches=TOTAL_BATCHES)
+        assert summary.batches_total == TOTAL_BATCHES
+        assert _fingerprint_bytes(paths) == uninterrupted["fingerprints"]
+        assert _canonical_ledger(paths) == uninterrupted["ledger"]
 
 
 class TestBoundsAndExitContract:

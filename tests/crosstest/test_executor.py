@@ -17,11 +17,13 @@ from repro.crosstest.executor import (
     run_shard,
     worker_pool,
 )
-from repro.crosstest.harness import NO_ROWS, CrossTester
+from repro.crosstest.harness import NO_ROWS, CrossTester, Deployment
 from repro.crosstest.plans import ALL_PLANS
 from repro.crosstest.report import run_crosstest
 from repro.crosstest.values import generate_inputs
 from repro.formats import UnknownFormatError
+
+from .isolated_reference import reference_trial
 
 SMALL_INPUTS = generate_inputs()[:30] + generate_inputs()[210:230]
 
@@ -115,12 +117,17 @@ class TestDeploymentPool:
 
 class TestRunShard:
     def test_pooled_and_fresh_deployments_agree(self):
+        # pooled deployments (reset between lanes) must observe exactly
+        # what the isolated reference observes on a fresh deployment
+        # per trial — with and without wider lanes
         shard = build_shards(ALL_PLANS[:1], ("parquet",), SMALL_INPUTS)[0]
-        pooled = run_shard(shard, reuse_deployments=True)
-        fresh = run_shard(shard, reuse_deployments=False)
-        assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(
-            fresh.to_trials(shard)
-        )
+        fresh = [
+            reference_trial(Deployment(), shard.plan, shard.fmt, test_input)
+            for test_input in shard.inputs
+        ]
+        for batch in (False, True):
+            pooled = run_shard(shard, batch=batch)
+            assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(fresh)
 
     def test_durations_cover_every_trial(self):
         shard = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS[:5])[0]

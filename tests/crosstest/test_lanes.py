@@ -2,9 +2,12 @@
 
 Covers the lane layer bottom-up: write-statement grouping
 (:func:`_write_batches`), in-lane demultiplexing and the three
-ambiguity reasons (:func:`run_lane_on`), the fallback ladder
+ambiguity reasons (:func:`run_lane_on`), the authority of width-one
+lanes (which are the isolated trial), the fallback ladder
 (:func:`_run_lane`), the sparse :func:`run_trials` helper, deployment
-lease hygiene, and the per-stage latency histograms.
+lease hygiene, and the per-stage latency histograms. "Isolated"
+expectations come from the longhand reference in
+:mod:`tests.crosstest.isolated_reference`, not from the lane code.
 """
 
 import pytest
@@ -29,6 +32,9 @@ from repro.crosstest.harness import (
 )
 from repro.crosstest.plans import ALL_PLANS
 from repro.crosstest.values import TestInput
+from repro.tracing.core import Tracer
+
+from .isolated_reference import reference_outcomes, reference_trial
 
 TestInput.__test__ = False
 
@@ -223,11 +229,109 @@ class TestRunLaneOn:
             make_input(sql="7", py=7, input_id=2),
         )
         lane = run_lane_on(Deployment(), plan, "parquet", inputs)
-        isolated = [
-            run_trial_on(Deployment(), plan, "parquet", test_input).outcome
-            for test_input in inputs
+        assert lane == reference_outcomes(plan, "parquet", inputs)
+
+
+def _span_shapes(spans):
+    """Spans minus their timings: names, nesting, attributes, status."""
+    shapes = []
+    for span in spans:
+        payload = span.to_json()
+        del payload["start_s"], payload["duration_s"]
+        for event in payload.get("events", ()):
+            del event["offset_s"]
+        shapes.append(payload)
+    return shapes
+
+
+class TestWidthOneAuthority:
+    """A lane of width one is the isolated trial: never ambiguous."""
+
+    TINYINT = make_input(type_text="tinyint", sql="1", py=1)
+
+    def test_read_poisoned_width_one_lane_is_a_read_error(self):
+        # the read-poisoned case of test_failed_lane_release_is_clean:
+        # at width one the failed scan is this input's observation
+        plan = PLANS_BY_NAME["w_df_r_df"]
+        outcomes = run_lane_on(Deployment(), plan, "avro", (self.TINYINT,))
+        assert isinstance(outcomes, list)
+        assert outcomes == reference_outcomes(plan, "avro", (self.TINYINT,))
+        assert outcomes[0].stage == "read"
+        assert outcomes[0].error_type == "IncompatibleSchemaException"
+
+    def test_width_one_takes_any_row_count(self):
+        # two rows for one write would be "count" in a wider lane; at
+        # width one it is simply what the read observed
+        deployment = Deployment()
+        schema = Schema(
+            (Field("c", make_input().column_type),), case_sensitive=True
+        )
+        deployment.read = lambda interface, table: QueryResult(
+            schema, rows=((1,), (2,))
+        )
+        (outcome,) = run_lane_on(
+            deployment, PLANS_BY_NAME["w_sql_r_sql"], "parquet",
+            int_inputs(1),
+        )
+        assert outcome.ok
+        assert outcome.value == 1
+        assert outcome.row_count == 2
+
+    @pytest.mark.parametrize(
+        "plan_name,fmt,test_input",
+        [
+            ("w_sql_r_sql", "parquet", make_input(sql="5", py=5)),
+            (
+                "w_sql_r_hive",
+                "orc",
+                make_input(sql=OVERFLOW_SQL, py=OVERFLOW_PY, valid=False),
+            ),
+            ("w_df_r_df", "avro", TINYINT),
+            (
+                "w_sql_r_sql",
+                "avro",
+                make_input(
+                    type_text="map<int,string>", sql="map(1,'x')",
+                    py={1: "x"},
+                ),
+            ),
+            ("w_hive_r_df", "parquet", make_input(sql="7", py=7)),
+        ],
+        ids=["ok", "write-error", "read-error", "create-error", "hive-df"],
+    )
+    def test_traced_width_one_lane_matches_reference_span_tree(
+        self, plan_name, fmt, test_input
+    ):
+        plan = PLANS_BY_NAME[plan_name]
+
+        def traced(run):
+            deployment = Deployment()
+            run(deployment)  # warm the statement memos and plan caches
+            deployment.reset()
+            with Tracer(trace_id="trial") as tracer:
+                run(deployment)
+            return _span_shapes(tracer.finished)
+
+        lane = traced(
+            lambda deployment: run_lane_on(
+                deployment, plan, fmt, (test_input,)
+            )
+        )
+        reference = traced(
+            lambda deployment: reference_trial(
+                deployment, plan, fmt, test_input
+            )
+        )
+        assert lane == reference
+        root = lane[-1]
+        assert root["name"] == "crosstest.trial"
+        assert root["parent_id"] is None
+        assert root["attributes"]["input_id"] == test_input.input_id
+        stages = [
+            span["name"] for span in lane
+            if span["parent_id"] == root["span_id"]
         ]
-        assert lane == isolated
+        assert stages[0] == "crosstest.create"
 
 
 class TestRunLaneLadder:
@@ -238,10 +342,7 @@ class TestRunLaneLadder:
         )
 
     def _isolated(self, plan, fmt, inputs):
-        return [
-            run_trial_on(Deployment(), plan, fmt, test_input).outcome
-            for test_input in inputs
-        ]
+        return reference_outcomes(plan, fmt, inputs)
 
     def test_write_poisoned_lane_resolves_through_singles(self):
         inputs = (
@@ -296,7 +397,12 @@ class TestRunTrials:
     ]
 
     def test_batched_matches_isolated(self):
-        assert run_trials(self.SPECS) == run_trials(self.SPECS, batch=False)
+        reference = [
+            reference_trial(Deployment(), plan, fmt, test_input).outcome
+            for plan, fmt, test_input in self.SPECS
+        ]
+        assert run_trials(self.SPECS) == reference
+        assert run_trials(self.SPECS, batch=False) == reference
 
     def test_outcomes_in_spec_order(self):
         outcomes = run_trials(self.SPECS)

@@ -371,6 +371,14 @@ class TestCampaign:
         assert main(["campaign", "--max-batches", "0"]) == 2
         assert main(["campaign", "--duration", "-1"]) == 2
 
+    def test_no_lanes_is_not_a_campaign_flag(self, tmp_path, capsys):
+        # campaign rounds are traced, so lanes never widen there; the
+        # flag could only ever make a resume refuse its own checkpoint
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._args(tmp_path, ["--no-lanes", "--max-batches", "1"]))
+        assert excinfo.value.code == 2
+        assert "--no-lanes" in capsys.readouterr().err
+
 
 class TestStatus:
     def _seed_ledger(self, tmp_path):

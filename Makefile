@@ -82,7 +82,10 @@ status-smoke:
 # campaign vs. one "killed" after batch 1 (--max-batches 1, jobs=2)
 # and resumed from its checkpoint for the remaining 2 (jobs=4). The
 # fingerprint JSONL must be byte-identical and the ledgers canonically
-# identical, or checkpoint/resume broke the determinism contract.
+# identical, or checkpoint/resume broke the determinism contract. The
+# two checkpoints are cursors and must be equal as well, apart from
+# their volatile env and the ledger offset: ledger records carry a
+# volatile env of their own, so the ledger's byte size varies by run.
 # Exit 4 (a novel fingerprint) fails the target, same as fuzz-smoke.
 campaign-smoke:
 	rm -rf campaign-smoke && mkdir -p campaign-smoke
@@ -105,6 +108,11 @@ campaign-smoke:
 	$(PYTHON) -m repro.obs.ledgerdiff \
 		campaign-smoke/clean.ledger.jsonl \
 		campaign-smoke/resumed.ledger.jsonl
+	$(PYTHON) -c 'import json, sys; \
+		c = [json.load(open(p)) for p in sys.argv[1:]]; \
+		[(x.pop("env"), x["offsets"].pop("ledger_bytes")) for x in c]; \
+		sys.exit(c[0] != c[1] and "checkpoints differ")' \
+		campaign-smoke/clean.ckpt.json campaign-smoke/resumed.ckpt.json
 
 # the CI analytics-smoke job, locally: a synthetic two-commit drift
 # ledger must flag the regression (and `repro analyze --gate` must

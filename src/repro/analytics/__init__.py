@@ -22,9 +22,7 @@ from repro.analytics.drift import (
 )
 from repro.analytics.triage import (
     TriagedFinding,
-    TriageError,
     TriageReport,
-    novel_keys_from_jsonl,
     triage_checkpoint,
     write_triage,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "AnalyticsReport",
     "ClusterDrift",
     "EvolutionEvent",
-    "TriageError",
     "TriageReport",
     "TriagedFinding",
     "Window",
@@ -55,7 +52,6 @@ __all__ = [
     "cluster_windows",
     "commit_windows",
     "detect_drift",
-    "novel_keys_from_jsonl",
     "partition_ledger",
     "record_commit",
     "time_windows",

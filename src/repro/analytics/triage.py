@@ -1,18 +1,20 @@
 """Auto-triage of nightly novelty: checkpoint → witness → shrink → delta.
 
 A nightly campaign that exits 4 leaves three artifacts behind: a
-checkpoint (campaign state by provenance), a fingerprint JSONL (which
-keys were novel), and a ledger. Everything needed to turn "the nightly
-is red" into "here is the minimal witness and the one-line baseline
-change" is already in them — the checkpoint stores each finding's
-witness as its ``(round, slot, input_id)`` coordinates, and the
+checkpoint (the campaign's cursor), a fingerprint JSONL (every finding,
+novel flag included), and a ledger. Everything needed to turn "the
+nightly is red" into "here is the minimal witness and the one-line
+baseline change" is already in them — each JSONL line stores its
+finding's witness as ``(round, slot, input_id)`` coordinates, and the
 scheduler's determinism guarantee means replaying those coordinates
 regenerates the exact input that fired.
 
 :func:`triage_checkpoint` does the whole walk:
 
-1. restore :class:`~repro.fuzz.scheduler.CampaignState` from the
-   checkpoint (witness inputs rebuilt from provenance),
+1. restore :class:`~repro.fuzz.scheduler.CampaignState` through
+   :func:`repro.campaign.restore_state` — the resume path itself — from
+   the checkpoint and the JSONL prefix it committed (witness inputs
+   rebuilt from provenance),
 2. for each novel fingerprint key, re-run its witness through the real
    executor (:func:`repro.fuzz.shrink.reproduces`) to confirm the
    coordinates still fire,
@@ -33,26 +35,19 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.campaign.checkpoint import Checkpoint, load_checkpoint
+from repro.campaign.checkpoint import load_checkpoint, restore_state
 from repro.crosstest.fingerprint import conf_label
 from repro.crosstest.values import TestInput
 from repro.fuzz.dedup import Baseline
-from repro.fuzz.scheduler import CampaignState
 from repro.fuzz.shrink import input_size, reproduces, shrink_input
 from repro.obs.cluster import item_seam
 
 __all__ = [
-    "TriageError",
     "TriagedFinding",
     "TriageReport",
-    "novel_keys_from_jsonl",
     "triage_checkpoint",
     "write_triage",
 ]
-
-
-class TriageError(Exception):
-    """Unusable triage input: bad checkpoint, unknown keys, bad JSONL."""
 
 
 @dataclass
@@ -60,7 +55,7 @@ class TriagedFinding:
     """One novel fingerprint, walked back to its minimal witness."""
 
     key: str
-    #: the ``(round, slot, input_id)`` coordinates the checkpoint carried
+    #: the ``(round, slot, input_id)`` coordinates the JSONL carried
     provenance: tuple[int, int, int]
     #: deployment conf label the finding fired under
     conf: str
@@ -164,51 +159,11 @@ class TriageReport:
         return "\n".join(lines)
 
 
-def novel_keys_from_jsonl(path: str) -> list[str]:
-    """The novel fingerprint keys a campaign's JSONL sidecar recorded.
-
-    Accepts both sidecar shapes — the service's per-batch lines and
-    ``repro fuzz``'s key-sorted records — since both carry ``key`` and
-    ``novel``.
-    """
-    keys: set[str] = set()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise TriageError(
-                        f"{path}:{lineno}: not valid JSON ({exc})"
-                    ) from exc
-                if not isinstance(record, dict) or "key" not in record:
-                    raise TriageError(
-                        f"{path}:{lineno}: not a fingerprint record"
-                    )
-                if record.get("novel"):
-                    keys.add(str(record["key"]))
-    except OSError as exc:
-        raise TriageError(f"{path}: {exc}") from exc
-    return sorted(keys)
-
-
-def _restore_state(checkpoint: Checkpoint) -> CampaignState:
-    try:
-        return CampaignState.from_json(
-            checkpoint.state, jobs=1, pool="auto", shrink=False
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise TriageError(f"unusable campaign state: {exc}") from exc
-
-
 def triage_checkpoint(
     checkpoint_path: str,
     baseline: Baseline,
     *,
-    fingerprints_path: str | None = None,
+    fingerprints_path: str,
     shrink: bool = True,
 ) -> tuple[TriageReport, Baseline, Baseline]:
     """Triage a checkpointed campaign's novel findings.
@@ -218,31 +173,18 @@ def triage_checkpoint(
     baseline (``baseline`` + delta). Reproduction/shrinking runs
     ``jobs=1`` through the real executor, like the shrinker always has.
 
-    Raises :class:`TriageError` on unusable inputs, including a
-    fingerprint JSONL naming a key the checkpoint never witnessed.
+    Only the JSONL prefix the checkpoint committed is read, so a batch
+    appended after the last checkpoint is ignored. Raises
+    :class:`~repro.campaign.CheckpointError` on unusable inputs,
+    including a JSONL that does not match the checkpoint.
     """
-    checkpoint = load_checkpoint(checkpoint_path)
-    state = _restore_state(checkpoint)
+    state = restore_state(load_checkpoint(checkpoint_path), fingerprints_path)
     config = state.config
-
-    if fingerprints_path is not None:
-        keys = novel_keys_from_jsonl(fingerprints_path)
-        missing = [key for key in keys if key not in state.findings]
-        if missing:
-            raise TriageError(
-                f"{fingerprints_path} names {len(missing)} key(s) the"
-                f" checkpoint never witnessed (first: {missing[0]!r});"
-                " checkpoint and fingerprint files are from different"
-                " campaigns"
-            )
-    else:
-        keys = state.novel_keys
 
     findings: list[TriagedFinding] = []
     delta = Baseline.empty()
-    for key in keys:
+    for key in state.novel_keys:
         finding = state.findings[key]
-        provenance = state.witness_provenance[key]
         label = conf_label(finding.conf_overrides)
         fired = reproduces(
             finding.witness,
@@ -267,7 +209,7 @@ def triage_checkpoint(
         findings.append(
             TriagedFinding(
                 key=key,
-                provenance=provenance,
+                provenance=finding.provenance,
                 conf=label,
                 seam=item_seam(f"fp:{key}"),
                 witness=finding.witness,

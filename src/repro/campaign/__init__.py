@@ -6,9 +6,9 @@ status``); this package ships the half that feeds it perpetually. A
 :mod:`repro.fuzz.scheduler` through the sharded
 :mod:`repro.crosstest.executor` on an asyncio loop, deduplicates
 fingerprints online against the committed baseline as each batch
-lands, appends one ledger record per batch, and checkpoints the full
-campaign state to JSON so a killed campaign resumes *exactly* where it
-stopped — SIGINT/SIGTERM drain the in-flight batch, commit it, write
+lands, appends one ledger record per batch, and checkpoints the
+campaign's cursor to JSON so a killed campaign resumes *exactly* where
+it stopped — SIGINT/SIGTERM drain the in-flight batch, commit it, write
 the checkpoint, and exit cleanly.
 
 The determinism contract is the hard part and the whole point: a
@@ -26,6 +26,7 @@ from repro.campaign.checkpoint import (
     Checkpoint,
     CheckpointError,
     load_checkpoint,
+    restore_state,
     save_checkpoint,
 )
 from repro.campaign.service import (
@@ -42,5 +43,6 @@ __all__ = [
     "CheckpointError",
     "fingerprint_lines",
     "load_checkpoint",
+    "restore_state",
     "save_checkpoint",
 ]

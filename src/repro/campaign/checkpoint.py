@@ -1,11 +1,14 @@
-"""Campaign checkpoints: atomic JSON snapshots with a commit protocol.
+"""Campaign checkpoints: atomic JSON cursors with a commit protocol.
 
-A checkpoint is everything :class:`~repro.fuzz.scheduler.CampaignState`
-serializes (seed cursor, batch index, coverage map, seen fingerprints —
-all by provenance, so it stays a few KB of pure JSON) plus the two byte
-offsets that make resume crash-safe: how far the ledger and the
-fingerprint JSONL had been written when the checkpointed batch
-committed.
+A checkpoint is the campaign's cursor — what
+:meth:`~repro.fuzz.scheduler.CampaignState.to_json` serializes (seed
+cursor, batch index, coverage map, promoted seeds by provenance, and
+the fingerprint and novel counts) — plus the two byte offsets that make
+resume crash-safe: how far the ledger and the fingerprint JSONL had
+been written when the checkpointed batch committed. The findings
+themselves live only in the fingerprint JSONL; :func:`restore_state`
+rebuilds them from the prefix the checkpoint points at, so a
+checkpoint's size does not grow with the number of fingerprints.
 
 The commit order per batch is append-ledger → append-fingerprints →
 atomically replace the checkpoint (tmp file + ``os.replace``). Either
@@ -26,15 +29,18 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.fuzz.scheduler import CampaignState
+
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "Checkpoint",
     "CheckpointError",
     "load_checkpoint",
+    "restore_state",
     "save_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -49,16 +55,13 @@ class Checkpoint:
     ``state`` is the :meth:`CampaignState.to_json` payload verbatim;
     ``ledger_bytes``/``fingerprints_bytes`` are the sizes the output
     files had after the last committed batch (resume truncates back to
-    them); ``novel_seen`` remembers whether any committed batch
-    witnessed a fingerprint absent from the baseline, because exit
-    code 4 must survive a kill/resume even when the novel finding
-    landed before the kill.
+    them, and the fingerprint offset bounds the records
+    :func:`restore_state` rebuilds findings from).
     """
 
     state: dict
     ledger_bytes: int = 0
     fingerprints_bytes: int = 0
-    novel_seen: bool = False
     env: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -70,7 +73,6 @@ class Checkpoint:
                 "ledger_bytes": self.ledger_bytes,
                 "fingerprints_bytes": self.fingerprints_bytes,
             },
-            "novel_seen": self.novel_seen,
             "env": dict(self.env),
         }
 
@@ -121,6 +123,62 @@ def load_checkpoint(path: str) -> Checkpoint:
         state=state,
         ledger_bytes=ledger_bytes,
         fingerprints_bytes=fingerprints_bytes,
-        novel_seen=bool(payload.get("novel_seen", False)),
         env=dict(payload.get("env", {})),
     )
+
+
+def restore_state(
+    checkpoint: Checkpoint,
+    fingerprints_path: str,
+    *,
+    jobs: int | None = 1,
+    pool: str = "auto",
+) -> CampaignState:
+    """The checkpointed campaign, findings rebuilt from the first
+    ``fingerprints_bytes`` of its fingerprint JSONL — the one restore
+    path of both resume and triage, so the two cannot disagree. Bytes
+    past the offset (an uncommitted or torn batch) are never read.
+
+    Raises :class:`CheckpointError` when the offset does not end a line
+    of the file, a line is not a record with a witness, or the records
+    do not match the checkpoint's fingerprint and novel counts.
+    """
+    path, offset = fingerprints_path, checkpoint.fingerprints_bytes
+    try:
+        with open(path, "rb") as handle:
+            prefix = handle.read(offset)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    if len(prefix) < offset or (prefix and not prefix.endswith(b"\n")):
+        raise CheckpointError(
+            f"{path}: the checkpoint's offset {offset} does not end a line"
+        )
+    records = []
+    for lineno, line in enumerate(prefix.splitlines(), start=1):
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}:{lineno}: not valid JSON ({exc})"
+            ) from exc
+        if not isinstance(record, dict) or "witness" not in record:
+            raise CheckpointError(
+                f"{path}:{lineno}: not a fingerprint record with a witness"
+            )
+        records.append(record)
+    try:
+        state = CampaignState.from_json(
+            checkpoint.state, records, jobs=jobs, pool=pool
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"unusable campaign state: {exc}") from exc
+    fingerprints = checkpoint.state.get("fingerprints")
+    novel = checkpoint.state.get("novel")
+    found = (len(records), len(state.findings), len(state.novel_keys))
+    if found != (fingerprints, fingerprints, novel):
+        raise CheckpointError(
+            f"{path}: {found[0]} lines, {found[1]} keys, {found[2]} novel"
+            f" up to the offset; the checkpoint counted {fingerprints},"
+            f" {novel} novel — the files are from different campaigns"
+        )
+    return state

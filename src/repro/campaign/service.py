@@ -8,7 +8,8 @@ pool — then *commits* it: one ``campaign`` ledger record, one
 fingerprint-JSONL line per key first seen this batch, and an atomic
 checkpoint carrying the new byte offsets (see
 :mod:`repro.campaign.checkpoint` for why offsets make resume
-crash-safe).
+crash-safe). The JSONL is the one store of findings: a resume rebuilds
+them from its committed prefix.
 
 SIGINT/SIGTERM set a stop event rather than killing anything: the
 in-flight batch drains, commits, checkpoints, and the service returns
@@ -37,6 +38,7 @@ from repro.campaign.checkpoint import (
     Checkpoint,
     CheckpointError,
     load_checkpoint,
+    restore_state,
     save_checkpoint,
 )
 from repro.crosstest.executor import (
@@ -61,7 +63,8 @@ def fingerprint_lines(state: CampaignState, outcome: RoundOutcome) -> list[str]:
     record per key *first seen* this batch, key-sorted. Streaming the
     per-batch delta (rather than rewriting the full set) is what lets an
     interrupted run's file be byte-compared prefix-for-prefix against an
-    uninterrupted one."""
+    uninterrupted one. ``witness`` is the ``(round, slot, input_id)``
+    provenance a resume or triage regenerates the witness input from."""
     lines = []
     for key in outcome.new_keys:
         finding = state.findings[key]
@@ -73,6 +76,7 @@ def fingerprint_lines(state: CampaignState, outcome: RoundOutcome) -> list[str]:
                     "novel": finding.novel,
                     "failures": finding.failure_count,
                     "batch": outcome.round_index,
+                    "witness": list(finding.provenance),
                 },
                 sort_keys=True,
             )
@@ -91,15 +95,18 @@ class CampaignSummary:
     coverage_features: int
     fingerprints: int
     novel_keys: list[str] = field(default_factory=list)
-    novel_seen: bool = False
     resumed: bool = False
     stop_reason: str = "max-batches"
 
     @property
+    def novel_seen(self) -> bool:
+        """Did any committed batch (this invocation *or* one before the
+        checkpoint) witness a fingerprint absent from the baseline?"""
+        return bool(self.novel_keys)
+
+    @property
     def exit_code(self) -> int:
-        """4 when any committed batch (this invocation *or* one before
-        the checkpoint) witnessed a fingerprint absent from the
-        baseline — same contract as ``repro fuzz``."""
+        """4 when :attr:`novel_seen` — same contract as ``repro fuzz``."""
         return 4 if self.novel_seen else 0
 
     def to_json(self) -> dict:
@@ -156,7 +163,6 @@ class CampaignService:
         self.clock = clock or time.time
         self.state: CampaignState | None = None
         self.resumed = False
-        self._novel_seen = False
         self._ledger_bytes = 0
         self._fingerprints_bytes = 0
         self._stop = asyncio.Event()
@@ -191,10 +197,6 @@ class CampaignService:
             checkpoint = load_checkpoint(self.checkpoint_path)
             expected = self.config.signature()
             found = checkpoint.state.get("config")
-            if isinstance(found, dict):
-                # older checkpoints stamped the outcome-neutral lanes
-                # flag into the signature; it must not block a resume
-                found = {k: v for k, v in found.items() if k != "lanes"}
             if found != expected:
                 raise CheckpointError(
                     f"{self.checkpoint_path}: checkpoint belongs to a "
@@ -202,12 +204,6 @@ class CampaignService:
                     f"{expected!r}); pick a fresh --checkpoint path or "
                     "match the original seed/batch/plan settings"
                 )
-            self.state = CampaignState.from_json(
-                checkpoint.state,
-                jobs=self.config.jobs,
-                pool=self.config.pool,
-            )
-            self._novel_seen = checkpoint.novel_seen
             self._ledger_bytes = checkpoint.ledger_bytes
             self._fingerprints_bytes = checkpoint.fingerprints_bytes
             self._align_file(
@@ -219,6 +215,12 @@ class CampaignService:
                 self._align_file(
                     self.ledger_path, self._ledger_bytes, "ledger"
                 )
+            self.state = restore_state(
+                checkpoint,
+                self.fingerprints_path,
+                jobs=self.config.jobs,
+                pool=self.config.pool,
+            )
             self.resumed = True
         else:
             self.state = CampaignState.fresh(self.config)
@@ -278,8 +280,6 @@ class CampaignService:
         in that order, so the checkpoint's offsets always describe
         fully-written prefixes (see the checkpoint module docstring)."""
         assert self.state is not None
-        if outcome.novel_keys:
-            self._novel_seen = True
         if self.ledger_path is not None:
             line = json.dumps(self._ledger_record(outcome), sort_keys=True)
             self._ledger_bytes = self._append(self.ledger_path, [line])
@@ -292,7 +292,6 @@ class CampaignService:
                 state=self.state.to_json(),
                 ledger_bytes=self._ledger_bytes,
                 fingerprints_bytes=self._fingerprints_bytes,
-                novel_seen=self._novel_seen,
                 env={
                     "ts": float(self.clock()),
                     "jobs": resolve_jobs(self.config.jobs),
@@ -374,7 +373,6 @@ class CampaignService:
             coverage_features=len(state.coverage),
             fingerprints=len(state.findings),
             novel_keys=state.novel_keys,
-            novel_seen=self._novel_seen,
             resumed=self.resumed,
             stop_reason=self._stop_reason,
         )

@@ -16,7 +16,7 @@ Commands map onto the paper's artifacts:
 * ``analyze``   — ledger analytics: commit/time windows, cluster drift
   at boundaries, cluster births/deaths/merges/splits
 * ``triage``    — auto-triage a campaign's novel fingerprints from
-  checkpoint provenance into a shrunk witness + baseline delta
+  their JSONL provenance into a shrunk witness + baseline delta
 """
 
 from __future__ import annotations
@@ -512,24 +512,24 @@ def build_parser() -> argparse.ArgumentParser:
     triage = sub.add_parser(
         "triage",
         help="auto-triage a campaign's novel fingerprints: reproduce "
-        "each from its checkpoint provenance, shrink the witness, "
+        "each from its recorded provenance, shrink the witness, "
         "emit a ready-to-commit baseline delta",
     )
     triage.add_argument(
         "--checkpoint",
         required=True,
         metavar="PATH",
-        help="campaign checkpoint written by 'repro campaign'; witness "
-        "inputs are regenerated from its (round, slot, input_id) "
-        "coordinates",
+        help="campaign checkpoint written by 'repro campaign'; it points "
+        "at the committed prefix of the fingerprint JSONL",
     )
     triage.add_argument(
         "--fingerprints",
-        default=None,
+        required=True,
         metavar="PATH",
-        help="fingerprint JSONL of the same campaign; restricts triage "
-        "to the keys it marks novel (default: every novel key the "
-        "checkpoint carries)",
+        help="fingerprint JSONL of the same campaign: the novel keys and "
+        "the (round, slot, input_id) coordinates their witness inputs "
+        "are regenerated from; lines past the checkpoint's offset are "
+        "ignored",
     )
     triage.add_argument(
         "--baseline",
@@ -1523,7 +1523,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_triage(args: argparse.Namespace) -> int:
-    from repro.analytics import TriageError, triage_checkpoint, write_triage
+    from repro.analytics import triage_checkpoint, write_triage
     from repro.campaign import CheckpointError
     from repro.fuzz.dedup import Baseline, default_baseline_path
 
@@ -1550,7 +1550,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
             fingerprints_path=args.fingerprints,
             shrink=not args.no_shrink,
         )
-    except (TriageError, CheckpointError) as exc:
+    except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,9 +20,11 @@ call that advances it. The state round-trips through JSON
 provenance, not by value*: a promoted seed or a finding's witness is
 stored as its ``(round, slot, input_id)`` coordinates and regenerated
 through the same BLAKE2b-seeded generator calls that built it the
-first time, so a checkpoint stays a few KB of pure JSON no matter what
-Python values (decimals, timestamps, nested rows) the inputs carry —
-and a restored campaign is *exactly* the campaign that was stopped.
+first time, so the snapshot is pure JSON no matter what Python values
+(decimals, timestamps, nested rows) the inputs carry — and a restored
+campaign is *exactly* the campaign that was stopped. Findings are not
+in it: :meth:`CampaignState.from_json` takes them back as the records
+of the campaign's fingerprint JSONL.
 :mod:`repro.campaign` builds the always-on service on top of this;
 :func:`run_fuzz` is the bounded one-shot loop the ``repro fuzz`` CLI
 has always exposed.
@@ -143,10 +145,15 @@ class FuzzFinding:
     fingerprint: Fingerprint
     witness: TestInput
     conf_overrides: dict[str, object]
-    round_index: int
+    #: ``(round, slot, input_id)`` the witness is regenerated from
+    provenance: tuple[int, int, int]
     failure_count: int = 0
     novel: bool = False
     shrunk: TestInput | None = None
+
+    @property
+    def round_index(self) -> int:
+        return self.provenance[0]
 
     def _input_json(self, test_input: TestInput) -> dict:
         return {
@@ -356,10 +363,6 @@ class CampaignState:
     promoted: list[tuple[int, int, int]] = field(default_factory=list)
     pool_ids: set[int] = field(default_factory=set)
     findings: dict[str, FuzzFinding] = field(default_factory=dict)
-    #: ``(round, slot, input_id)`` of each finding's witness, by key
-    witness_provenance: dict[str, tuple[int, int, int]] = field(
-        default_factory=dict
-    )
     rediscovered: set[int] = field(default_factory=set)
     candidates: int = 0
     round_index: int = 0
@@ -391,6 +394,8 @@ class CampaignState:
         coordinates; :meth:`from_json` replays the generator calls to
         rebuild them, so the snapshot is independent of what Python
         types the inputs carry and byte-stable across interpreter runs.
+        Findings are only counted: a restore checks the counts against
+        the fingerprint-JSONL records it was handed.
         """
         return {
             "config": self.config.signature(),
@@ -399,17 +404,8 @@ class CampaignState:
             "trials_run": self.trials_run,
             "coverage": sorted(self.coverage.seen),
             "promoted": [list(entry) for entry in self.promoted],
-            "findings": [
-                {
-                    "key": key,
-                    "fingerprint": self.findings[key].fingerprint.to_json(),
-                    "novel": self.findings[key].novel,
-                    "failures": self.findings[key].failure_count,
-                    "round": self.findings[key].round_index,
-                    "witness": list(self.witness_provenance[key]),
-                }
-                for key in sorted(self.findings)
-            ],
+            "fingerprints": len(self.findings),
+            "novel": len(self.novel_keys),
             "rediscovered": sorted(self.rediscovered),
         }
 
@@ -417,19 +413,22 @@ class CampaignState:
     def from_json(
         cls,
         payload: dict,
+        findings: list[dict],
         *,
         jobs: int | None = 1,
         pool: str = "auto",
         shrink: bool = False,
     ) -> "CampaignState":
-        """Rebuild a campaign from its :meth:`to_json` snapshot.
+        """Rebuild a campaign from its :meth:`to_json` snapshot and the
+        fingerprint-JSONL records (``key``, ``fingerprint``, ``novel``,
+        ``failures``, ``witness``) of its findings.
 
         ``jobs``/``pool`` are runtime knobs supplied afresh by the
         caller — a campaign checkpointed at ``--jobs 2`` resumes
         byte-identically at ``--jobs 4``, which is exactly what the
         determinism grid pins. ``lanes`` is not part of the snapshot
-        and takes its default (a ``"lanes"`` key that older snapshots
-        carry is ignored).
+        and takes its default. A finding's ``failure_count`` restarts
+        from its record's first-batch count.
         """
         sig = payload["config"]
         plans_by_name = {plan.name: plan for plan in ALL_PLANS}
@@ -471,7 +470,7 @@ class CampaignState:
             )
             state.promoted.append((round_index, slot, input_id))
             state.pool_ids.add(input_id)
-        for record in payload.get("findings", ()):
+        for record in findings:
             key = record["key"]
             round_index, slot, input_id = (
                 int(part) for part in record["witness"]
@@ -479,14 +478,11 @@ class CampaignState:
             state.findings[key] = FuzzFinding(
                 fingerprint=Fingerprint.from_json(record["fingerprint"]),
                 witness=state._rebuild_input(round_index, slot, input_id),
-                conf_overrides=dict(
-                    gen_conf(config.seed, int(record["round"]))
-                ),
-                round_index=int(record["round"]),
+                conf_overrides=dict(gen_conf(config.seed, round_index)),
+                provenance=(round_index, slot, input_id),
                 failure_count=int(record["failures"]),
                 novel=bool(record["novel"]),
             )
-            state.witness_provenance[key] = (round_index, slot, input_id)
         return state
 
     def _rebuild_input(
@@ -618,14 +614,13 @@ def run_round(
                 fingerprint=hit.fingerprint,
                 witness=by_id[hit.witness_input_id],
                 conf_overrides=dict(conf_overrides),
-                round_index=round_index,
+                provenance=(
+                    round_index,
+                    slots[hit.witness_input_id],
+                    hit.witness_input_id,
+                ),
                 failure_count=len(hit.failures),
                 novel=key not in baseline,
-            )
-            state.witness_provenance[key] = (
-                round_index,
-                slots[hit.witness_input_id],
-                hit.witness_input_id,
             )
             new_keys.append(key)
         else:

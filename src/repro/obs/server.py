@@ -71,7 +71,6 @@ def campaign_snapshot(checkpoint_path: str | None) -> dict:
         payload["error"] = f"unreadable checkpoint ({exc})"
         return payload
     state = snapshot.get("state", {})
-    findings = state.get("findings", ())
     payload.update(
         {
             "active": True,
@@ -82,14 +81,10 @@ def campaign_snapshot(checkpoint_path: str | None) -> dict:
             "candidates": state.get("candidates", 0),
             "trials": state.get("trials_run", 0),
             "coverage_features": len(state.get("coverage", [])),
-            "fingerprints": len(findings),
-            "novel": sum(
-                1
-                for finding in findings
-                if isinstance(finding, dict) and finding.get("novel")
-            ),
+            "fingerprints": state.get("fingerprints", 0),
+            "novel": state.get("novel", 0),
             "rediscovered": len(state.get("rediscovered", [])),
-            "novel_seen": bool(snapshot.get("novel_seen", False)),
+            "novel_seen": bool(state.get("novel", 0)),
         }
     )
     return payload

@@ -4,19 +4,25 @@ Built once per session — one seed-3 batch through the real scheduler
 is the cheapest campaign that witnesses fingerprints, and holding the
 last key out of the baseline turns it into the exact artifact set a
 nightly exit-4 leaves behind: checkpoint + fingerprint JSONL + a
-baseline that doesn't know one key.
+baseline that doesn't know one key. The campaign itself runs through
+:class:`CampaignService`, so the checkpoint records the JSONL offset a
+triage reads up to.
 """
 
-import json
+import asyncio
 
 import pytest
 
-from repro.campaign.checkpoint import Checkpoint, save_checkpoint
+from repro.campaign import CampaignService
 from repro.fuzz.dedup import Baseline
 from repro.fuzz.scheduler import CampaignState, FuzzConfig, run_round
 
 SEED = 3
 BATCH = 8
+
+
+def _config():
+    return FuzzConfig(seed=SEED, budget=BATCH, batch=BATCH, shrink=False)
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +35,7 @@ def seeded_campaign(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("seeded-campaign")
 
     # learning pass: which keys does this batch witness?
-    config = FuzzConfig(seed=SEED, budget=BATCH, batch=BATCH, shrink=False)
-    probe = CampaignState.fresh(config)
+    probe = CampaignState.fresh(_config())
     run_round(probe, Baseline.empty())
     all_keys = sorted(probe.findings)
     assert all_keys, "seed-3 batch must witness fingerprints"
@@ -47,37 +52,19 @@ def seeded_campaign(tmp_path_factory):
     pruned.save(baseline_path)
 
     # the campaign a nightly would have run: same batch, novel key seen
-    state = CampaignState.fresh(config)
-    outcome = run_round(state, pruned)
-    assert outcome.novel_keys == (held_out,)
-
-    checkpoint_path = str(workdir / "campaign.ckpt.json")
-    save_checkpoint(
-        checkpoint_path,
-        Checkpoint(state=state.to_json(), novel_seen=True),
+    service = CampaignService(
+        _config(),
+        pruned,
+        checkpoint_path=str(workdir / "campaign.ckpt.json"),
+        fingerprints_path=str(workdir / "campaign.fp.jsonl"),
+        max_batches=1,
     )
-
-    fingerprints_path = str(workdir / "campaign.fp.jsonl")
-    with open(fingerprints_path, "w", encoding="utf-8") as handle:
-        for key in sorted(state.findings):
-            finding = state.findings[key]
-            handle.write(
-                json.dumps(
-                    {
-                        "key": key,
-                        "fingerprint": finding.fingerprint.to_json(),
-                        "novel": finding.novel,
-                        "failures": finding.failure_count,
-                        "batch": finding.round_index,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    asyncio.run(service.run())
+    assert service.state.novel_keys == [held_out]
 
     return {
-        "checkpoint": checkpoint_path,
-        "fingerprints": fingerprints_path,
+        "checkpoint": service.checkpoint_path,
+        "fingerprints": service.fingerprints_path,
         "baseline": baseline_path,
         "held_out": held_out,
         "all_keys": all_keys,

@@ -173,6 +173,7 @@ class TestTriageCommand:
             [
                 "triage",
                 "--checkpoint", seeded_campaign["checkpoint"],
+                "--fingerprints", seeded_campaign["fingerprints"],
                 "--baseline", seeded_campaign["baseline"],
                 "--out-dir", str(tmp_path / "out"),
                 "--no-shrink",
@@ -191,6 +192,7 @@ class TestTriageCommand:
                 [
                     "triage",
                     "--checkpoint", str(tmp_path / "absent.json"),
+                    "--fingerprints", str(tmp_path / "absent.jsonl"),
                     "--out-dir", str(tmp_path / "out"),
                 ]
             )
@@ -203,6 +205,7 @@ class TestTriageCommand:
                 [
                     "triage",
                     "--checkpoint", seeded_campaign["checkpoint"],
+                    "--fingerprints", seeded_campaign["fingerprints"],
                     "--baseline", str(tmp_path / "absent.json"),
                     "--out-dir", str(tmp_path / "out"),
                 ]

@@ -1,45 +1,63 @@
 """Tests for auto-triage: provenance → reproduction → shrink → delta.
 
-The acceptance bar (ISSUE 10): a seeded novel fingerprint must
-reproduce from its ``(round, slot, input_id)`` checkpoint coordinates
-and yield a baseline delta that, once applied, silences the novelty.
+The acceptance bar: a seeded novel fingerprint must reproduce from its
+``(round, slot, input_id)`` coordinates and yield a baseline delta
+that, once applied, silences the novelty. Triage reads findings only
+through :func:`repro.campaign.restore_state`, from the JSONL prefix the
+checkpoint committed.
 """
 
+import asyncio
 import json
+import shutil
 
 import pytest
 
-from repro.analytics.triage import (
-    TriageError,
-    novel_keys_from_jsonl,
-    triage_checkpoint,
-    write_triage,
+from repro.analytics.triage import triage_checkpoint, write_triage
+from repro.campaign import (
+    CampaignService,
+    Checkpoint,
+    CheckpointError,
+    load_checkpoint,
+    restore_state,
 )
 from repro.fuzz.dedup import Baseline
 from repro.fuzz.scheduler import CampaignState, FuzzConfig, run_round
 from repro.fuzz.shrink import input_size
 
 
+def _restore_from(path):
+    """Restore against a hand-written JSONL, committing all its bytes."""
+    checkpoint = Checkpoint(state={}, fingerprints_bytes=path.stat().st_size)
+    return restore_state(checkpoint, str(path))
+
+
 class TestNovelKeysFromJsonl:
     def test_reads_only_novel_keys(self, seeded_campaign):
-        keys = novel_keys_from_jsonl(seeded_campaign["fingerprints"])
-        assert keys == [seeded_campaign["held_out"]]
+        state = restore_state(
+            load_checkpoint(seeded_campaign["checkpoint"]),
+            seeded_campaign["fingerprints"],
+        )
+        assert state.novel_keys == [seeded_campaign["held_out"]]
+        assert sorted(state.findings) == seeded_campaign["all_keys"]
 
     def test_bad_json_line_reports_position(self, tmp_path):
         path = tmp_path / "fp.jsonl"
-        path.write_text('{"key": "a", "novel": true}\nnot json\n')
-        with pytest.raises(TriageError, match=r"fp\.jsonl:2"):
-            novel_keys_from_jsonl(str(path))
+        record = {"key": "a", "fingerprint": {}, "witness": [0, 0, 0]}
+        path.write_text(json.dumps(record) + "\nnot json\n")
+        with pytest.raises(CheckpointError, match=r"fp\.jsonl:2"):
+            _restore_from(path)
 
     def test_keyless_record_rejected(self, tmp_path):
         path = tmp_path / "fp.jsonl"
         path.write_text('{"novel": true}\n')
-        with pytest.raises(TriageError, match="not a fingerprint record"):
-            novel_keys_from_jsonl(str(path))
+        with pytest.raises(CheckpointError, match="not a fingerprint record"):
+            _restore_from(path)
 
     def test_missing_file_is_an_error(self, tmp_path):
-        with pytest.raises(TriageError):
-            novel_keys_from_jsonl(str(tmp_path / "absent.jsonl"))
+        checkpoint = Checkpoint(state={}, fingerprints_bytes=1)
+        with pytest.raises(CheckpointError):
+            restore_state(checkpoint, str(tmp_path / "absent.jsonl"))
 
 
 class TestTriageCheckpoint:
@@ -67,6 +85,7 @@ class TestTriageCheckpoint:
         report, delta, proposed = triage_checkpoint(
             seeded_campaign["checkpoint"],
             baseline,
+            fingerprints_path=seeded_campaign["fingerprints"],
             shrink=False,
         )
         held_out = seeded_campaign["held_out"]
@@ -84,6 +103,7 @@ class TestTriageCheckpoint:
         _, _, proposed = triage_checkpoint(
             seeded_campaign["checkpoint"],
             Baseline.load(seeded_campaign["baseline"]),
+            fingerprints_path=seeded_campaign["fingerprints"],
             shrink=False,
         )
         config = FuzzConfig(seed=3, budget=8, batch=8, shrink=False)
@@ -95,31 +115,23 @@ class TestTriageCheckpoint:
         report, _, _ = triage_checkpoint(
             seeded_campaign["checkpoint"],
             Baseline.load(seeded_campaign["baseline"]),
+            fingerprints_path=seeded_campaign["fingerprints"],
             shrink=True,
         )
         finding = report.findings[0]
         assert input_size(finding.minimal) <= input_size(finding.witness)
 
-    def test_without_jsonl_uses_checkpoint_novel_flags(
-        self, seeded_campaign
-    ):
-        report, _, _ = triage_checkpoint(
-            seeded_campaign["checkpoint"],
-            Baseline.load(seeded_campaign["baseline"]),
-            shrink=False,
-        )
-        assert [f.key for f in report.findings] == [
-            seeded_campaign["held_out"]
-        ]
-
     def test_foreign_jsonl_key_is_rejected(
         self, seeded_campaign, tmp_path
     ):
+        # a one-line JSONL exactly as long as the committed prefix, so
+        # only the record itself can give it away
+        checkpoint = load_checkpoint(seeded_campaign["checkpoint"])
+        size = checkpoint.fingerprints_bytes
+        line = json.dumps({"key": "not|a|real|key", "novel": True})
         path = tmp_path / "foreign.jsonl"
-        path.write_text(
-            json.dumps({"key": "not|a|real|key", "novel": True}) + "\n"
-        )
-        with pytest.raises(TriageError, match="never witnessed"):
+        path.write_text(line.ljust(size - 1) + "\n")
+        with pytest.raises(CheckpointError, match="not a fingerprint record"):
             triage_checkpoint(
                 seeded_campaign["checkpoint"],
                 Baseline.empty(),
@@ -127,10 +139,48 @@ class TestTriageCheckpoint:
                 shrink=False,
             )
 
+    def test_uncommitted_batch_is_ignored(
+        self, seeded_campaign, tmp_path, monkeypatch
+    ):
+        # a kill between the JSONL append and the checkpoint: batch 1's
+        # lines are in the file, but the checkpoint still ends at batch 0
+        checkpoint = str(tmp_path / "ckpt.json")
+        fingerprints = str(tmp_path / "fp.jsonl")
+        shutil.copy(seeded_campaign["checkpoint"], checkpoint)
+        shutil.copy(seeded_campaign["fingerprints"], fingerprints)
+        baseline = Baseline.load(seeded_campaign["baseline"])
+        monkeypatch.setattr(
+            "repro.campaign.service.save_checkpoint", lambda *args: None
+        )
+        service = CampaignService(
+            FuzzConfig(seed=3, budget=8, batch=8, shrink=False),
+            baseline,
+            checkpoint_path=checkpoint,
+            fingerprints_path=fingerprints,
+            max_batches=2,
+        )
+        asyncio.run(service.run())
+        with open(fingerprints, encoding="utf-8") as handle:
+            uncommitted = [
+                record
+                for record in map(json.loads, handle)
+                if record["batch"] == 1
+            ]
+        assert any(record["novel"] for record in uncommitted)
+
+        report, delta, _ = triage_checkpoint(
+            checkpoint, baseline, fingerprints_path=fingerprints, shrink=False
+        )
+        assert [f.key for f in report.findings] == [
+            seeded_campaign["held_out"]
+        ]
+        assert set(delta.fingerprints) == {seeded_campaign["held_out"]}
+
     def test_report_text_names_coordinates(self, seeded_campaign):
         report, _, _ = triage_checkpoint(
             seeded_campaign["checkpoint"],
             Baseline.load(seeded_campaign["baseline"]),
+            fingerprints_path=seeded_campaign["fingerprints"],
             shrink=False,
         )
         text = report.to_text()
@@ -144,6 +194,7 @@ class TestWriteTriage:
         report, delta, proposed = triage_checkpoint(
             seeded_campaign["checkpoint"],
             Baseline.load(seeded_campaign["baseline"]),
+            fingerprints_path=seeded_campaign["fingerprints"],
             shrink=False,
         )
         out_dir = str(tmp_path / "triage-out")

@@ -20,7 +20,8 @@ STATE = {
     "trials_run": 768,
     "coverage": ["a", "b"],
     "promoted": [],
-    "findings": [],
+    "fingerprints": 0,
+    "novel": 0,
     "rediscovered": [],
 }
 
@@ -32,7 +33,6 @@ class TestRoundTrip:
             state=STATE,
             ledger_bytes=123,
             fingerprints_bytes=456,
-            novel_seen=True,
             env={"ts": 1.0},
         )
         save_checkpoint(path, saved)
@@ -40,7 +40,6 @@ class TestRoundTrip:
         assert loaded.state == STATE
         assert loaded.ledger_bytes == 123
         assert loaded.fingerprints_bytes == 456
-        assert loaded.novel_seen is True
         assert loaded.env == {"ts": 1.0}
 
     def test_write_is_atomic(self, tmp_path):

@@ -83,6 +83,33 @@ def _canonical_ledger(paths):
     ]
 
 
+def _findings(state):
+    """Everything resume rebuilds per finding, in comparable form."""
+    return {
+        key: (
+            finding.fingerprint,
+            finding.novel,
+            finding.provenance,
+            (
+                finding.witness.input_id,
+                finding.witness.type_text,
+                finding.witness.sql_literal,
+            ),
+        )
+        for key, finding in state.findings.items()
+    }
+
+
+def _service(paths, max_batches=TOTAL_BATCHES):
+    return CampaignService(
+        _config(),
+        Baseline.empty(),
+        max_batches=max_batches,
+        clock=FIXED_CLOCK,
+        **paths,
+    )
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
     """One clean 3-batch run: the oracle every resumed run must match."""
@@ -181,22 +208,120 @@ class TestHardKillRecovery:
         assert _fingerprint_bytes(paths) == uninterrupted["fingerprints"]
         assert _canonical_ledger(paths) == uninterrupted["ledger"]
 
-    def test_checkpoint_carrying_a_lanes_key_resumes(
-        self, tmp_path, uninterrupted
-    ):
-        # older checkpoints stamped "lanes" into the config signature
-        paths = _paths(tmp_path, "legacy")
+    def test_count_mismatch_refuses_resume(self, tmp_path):
+        paths = _paths(tmp_path, "counts")
         _run(paths, max_batches=1)
         with open(paths["checkpoint_path"], encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert "lanes" not in payload["state"]["config"]
-        payload["state"]["config"]["lanes"] = True
+        payload["state"]["novel"] -= 1
         with open(paths["checkpoint_path"], "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        summary = _run(paths, max_batches=TOTAL_BATCHES)
-        assert summary.batches_total == TOTAL_BATCHES
-        assert _fingerprint_bytes(paths) == uninterrupted["fingerprints"]
+        with pytest.raises(CheckpointError, match="different campaigns"):
+            _service(paths)._prepare()
+
+    def test_v1_checkpoint_refuses_resume(self, tmp_path):
+        paths = _paths(tmp_path, "v1")
+        _run(paths, max_batches=1)
+        with open(paths["checkpoint_path"], encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["schema_version"] = 1
+        with open(paths["checkpoint_path"], "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CheckpointError, match="schema_version 1"):
+            _service(paths)._prepare()
+
+
+class TestTornWriteSweep:
+    """The fingerprint JSONL cut at every byte offset around a commit.
+
+    A 2-batch campaign's checkpoint commits its whole JSONL. Every cut
+    below that offset lost committed bytes, so the resume must refuse.
+    Every cut at or above it falls inside the next, uncommitted batch,
+    so the resume must truncate back to the committed prefix and
+    rebuild exactly the findings of the run that was never cut. The
+    uncommitted bytes swept are the next batch's first two lines: every
+    shape a torn tail can take (mid-line, at a newline, whole lines)
+    occurs within them. Only ``_prepare`` runs per offset, so no batch
+    is re-run until the closing full resume.
+    """
+
+    def test_every_byte_offset(self, tmp_path, uninterrupted):
+        paths = _paths(tmp_path, "sweep")
+        clean = _service(paths, max_batches=2)
+        asyncio.run(clean.run())
+        expected = _findings(clean.state)
+        committed = _fingerprint_bytes(paths)
+        full = uninterrupted["fingerprints"]
+        assert full.startswith(committed) and len(full) > len(committed)
+        first_line_end = full.index(b"\n", len(committed))
+        second_line_end = full.index(b"\n", first_line_end + 1)
+
+        path = paths["fingerprints_path"]
+        service = _service(paths)
+        # cutting downward keeps each cut a prefix of the one before,
+        # so the file never has to be rewritten below the commit
+        for offset in range(len(committed) - 1, -1, -1):
+            os.truncate(path, offset)
+            with pytest.raises(CheckpointError, match="refusing to resume"):
+                service._prepare()
+        for offset in range(len(committed), second_line_end + 2):
+            with open(path, "wb") as handle:
+                handle.write(full[:offset])
+            service._prepare()
+            assert _fingerprint_bytes(paths) == committed
+            assert _findings(service.state) == expected
+
+        # a cut inside the second uncommitted line, then a real resume
+        with open(path, "wb") as handle:
+            handle.write(full[: second_line_end - 7])
+        summary = asyncio.run(service.run())
+        assert summary.batches_run == 1
+        assert _fingerprint_bytes(paths) == full
         assert _canonical_ledger(paths) == uninterrupted["ledger"]
+
+    def test_foreign_line_in_committed_region_refuses(self, tmp_path):
+        paths = _paths(tmp_path, "forged")
+        _run(paths, max_batches=2)
+        lines = _fingerprint_bytes(paths).splitlines(keepends=True)
+        shortest = min(range(len(lines)), key=lambda i: len(lines[i]))
+        target = max(range(len(lines)), key=lambda i: len(lines[i]))
+
+        def padded(text, like):
+            # JSON tolerates trailing blanks: same length, same offsets
+            return text.rstrip(b"\n").ljust(len(like) - 1) + b"\n"
+
+        record = json.loads(lines[target])
+        del record["witness"]
+        witnessless = padded(json.dumps(record).encode(), lines[target])
+        duplicate = padded(lines[shortest], lines[target])
+        # the same length as the line they replace, so offsets and line
+        # counts still match: only the records can give them away
+        forgeries = {
+            "not a fingerprint record": witnessless,
+            "different campaigns": duplicate,
+        }
+        for message, forged in forgeries.items():
+            with open(paths["fingerprints_path"], "wb") as handle:
+                handle.write(
+                    b"".join(lines[:target] + [forged] + lines[target + 1 :])
+                )
+            with pytest.raises(CheckpointError, match=message):
+                _service(paths)._prepare()
+        # another campaign's line inserted ahead of the committed lines
+        other = _paths(tmp_path, "other")
+        asyncio.run(
+            CampaignService(
+                dataclasses.replace(_config(), seed=SEED + 1),
+                Baseline.empty(),
+                max_batches=1,
+                **other,
+            ).run()
+        )
+        other_line = _fingerprint_bytes(other).splitlines(keepends=True)[0]
+        with open(paths["fingerprints_path"], "wb") as handle:
+            handle.write(b"".join([other_line] + lines))
+        with pytest.raises(CheckpointError):
+            _service(paths)._prepare()
 
 
 class TestBoundsAndExitContract:
@@ -231,7 +356,9 @@ class TestBoundsAndExitContract:
         summary = _run(paths, max_batches=2)
         checkpoint = load_checkpoint(paths["checkpoint_path"])
         assert checkpoint.state["round_index"] == summary.batches_total == 2
-        assert checkpoint.novel_seen == summary.novel_seen
+        assert checkpoint.state["fingerprints"] == summary.fingerprints
+        assert checkpoint.state["novel"] == len(summary.novel_keys)
+        assert "findings" not in checkpoint.state
         assert checkpoint.fingerprints_bytes == os.path.getsize(
             paths["fingerprints_path"]
         )
@@ -252,7 +379,9 @@ class TestBoundsAndExitContract:
                     "novel",
                     "failures",
                     "batch",
+                    "witness",
                 }
+                assert record["witness"][0] == record["batch"]
                 batches.add(record["batch"])
         assert batches == {0, 1}
 

@@ -138,7 +138,7 @@ class TestObsServer:
             checkpoint.write_text(
                 json.dumps(
                     {
-                        "schema_version": 1,
+                        "schema_version": 2,
                         "kind": "campaign-checkpoint",
                         "state": {
                             "config": {"seed": 7},
@@ -146,17 +146,14 @@ class TestObsServer:
                             "candidates": 48,
                             "trials_run": 1152,
                             "coverage": ["a", "b"],
-                            "findings": [
-                                {"key": "x", "novel": True},
-                                {"key": "y", "novel": False},
-                            ],
+                            "fingerprints": 2,
+                            "novel": 1,
                             "rediscovered": [2],
                         },
                         "offsets": {
                             "ledger_bytes": 0,
                             "fingerprints_bytes": 0,
                         },
-                        "novel_seen": True,
                         "env": {},
                     }
                 )
@@ -173,6 +170,47 @@ class TestObsServer:
             assert after["config"] == {"seed": 7}
         finally:
             server.stop()
+
+    def test_campaign_counts_match_the_committed_jsonl(self, tmp_path):
+        # batch 0's keys are known, so batch 1 commits both known and
+        # novel lines; the panel's counts must be the JSONL's
+        import asyncio
+
+        from repro.campaign import CampaignService
+        from repro.fuzz import Baseline, FuzzConfig
+        from repro.fuzz.scheduler import CampaignState, run_round
+
+        config = FuzzConfig(seed=3, budget=8, batch=8, shrink=False)
+        probe = CampaignState.fresh(config)
+        run_round(probe, Baseline.empty())
+        known = Baseline(
+            {key: f.fingerprint for key, f in probe.findings.items()}
+        )
+        checkpoint = tmp_path / "ckpt.json"
+        fingerprints = tmp_path / "fp.jsonl"
+        asyncio.run(
+            CampaignService(
+                config,
+                known,
+                checkpoint_path=str(checkpoint),
+                fingerprints_path=str(fingerprints),
+                max_batches=2,
+            ).run()
+        )
+        records = [
+            json.loads(line)
+            for line in fingerprints.read_text().splitlines()
+        ]
+        novel = sum(1 for record in records if record["novel"])
+        assert 0 < novel < len(records)
+        server = ObsServer(checkpoint_path=str(checkpoint)).start()
+        try:
+            _, panel = _get(server, "/campaign")
+        finally:
+            server.stop()
+        assert panel["fingerprints"] == len(records)
+        assert panel["novel"] == novel
+        assert panel["novel_seen"] is True
 
     def test_no_ledger_means_empty_campaign(self):
         server = ObsServer().start()
